@@ -1,5 +1,7 @@
 #include "core/chip.hpp"
 
+#include "extract/extract.hpp"
+
 #include <sstream>
 #include <unordered_map>
 #include <variant>
@@ -60,7 +62,7 @@ CompiledChip CompiledChip::clone() const {
   out.pla = pla;
   out.tapeStats = tapeStats;
   out.stats = stats;
-  return out;  // flatTop_/flatCore_ stay null: rebuilt lazily on demand
+  return out;  // derived caches stay empty: rebuilt lazily on demand
 }
 
 std::size_t CompiledChip::approxBytes() const noexcept {
@@ -93,6 +95,15 @@ std::size_t CompiledChip::approxBytes() const noexcept {
   if (flatTop_) bytes += sizeof(cell::FlatLayout) + flatTop_->approxBytes();
   if (flatCore_) bytes += sizeof(cell::FlatLayout) + flatCore_->approxBytes();
   if (hierTop_) bytes += sizeof(cell::HierIndex) + hierTop_->approxBytes();
+  if (const netlist::TransistorNetlist* nl = coreNetlist_.ifBuilt()) {
+    // Devices, nets, and one by-name map node per named net.
+    bytes += sizeof(netlist::TransistorNetlist) +
+             nl->transistors().size() * sizeof(netlist::Transistor);
+    for (const netlist::Net& n : nl->nets()) {
+      bytes += sizeof(netlist::Net) + n.name.size();
+      if (n.isNamed) bytes += sizeof(std::pair<const std::string, int>) + 32 + n.name.size();
+    }
+  }
   return bytes;
 }
 
@@ -109,6 +120,11 @@ const cell::FlatLayout& CompiledChip::flatCore() const {
 const cell::HierIndex& CompiledChip::hierTop() const {
   if (!hierTop_) hierTop_ = std::make_unique<cell::HierIndex>(*top);
   return *hierTop_;
+}
+
+const netlist::TransistorNetlist& CompiledChip::coreNetlist() const {
+  return coreNetlist_.get(
+      [this] { return extract::extractFlat(flatCore(), extract::labelsOf(*core)).netlist; });
 }
 
 }  // namespace bb::core

@@ -9,11 +9,13 @@
 #include "cell/flatten.hpp"
 #include "cell/hier_index.hpp"
 #include "cell/library.hpp"
+#include "core/once_slot.hpp"
 #include "core/pass2_tapes.hpp"
 #include "core/pla.hpp"
 #include "elements/element.hpp"
 #include "icl/ast.hpp"
 #include "netlist/logic.hpp"
+#include "netlist/transistor.hpp"
 
 #include <memory>
 #include <string>
@@ -87,22 +89,22 @@ struct CompiledChip {
   /// and the chip's own cell pointers (top/core/bufferRow/decoder, the
   /// placed-element columns) retargeted at the copies; all value state
   /// (desc, controls, pads, logic, pla, stats) is copied. The flatten
-  /// caches are NOT copied — the clone rebuilds them lazily. This is the
-  /// checkpoint primitive behind `CompileSession`'s incremental
-  /// recompilation: a pass re-run mutates a clone of the pre-pass chip,
-  /// never the original.
+  /// caches and the core netlist are NOT copied — the clone rebuilds them
+  /// lazily. This is the checkpoint primitive behind `CompileSession`'s
+  /// incremental recompilation: a pass re-run mutates a clone of the
+  /// pre-pass chip, never the original.
   [[nodiscard]] CompiledChip clone() const;
 
   /// Deterministic estimate of the chip's resident size in bytes: cells,
   /// shapes with polygon/path vertices, bristles, instances, placed
   /// elements, pads, logic gates — PLUS whatever derived artwork is
   /// materialized at call time (the flatten caches with their spatial
-  /// indexes, the hierarchical index). Used by `svc::ChipCache` to
-  /// charge entries against its byte budget; since the service prewarmes
-  /// the caches before inserting, the flattens — which dwarf the shared
-  /// cell library on hierarchical chips — are charged, not leaked past
-  /// the budget. An estimate, not an accounting of every allocator
-  /// header.
+  /// indexes, the hierarchical index, the core netlist). Used by
+  /// `svc::ChipCache` to charge entries against its byte budget; since
+  /// the service prewarmes the caches before inserting, the flattens —
+  /// which dwarf the shared cell library on hierarchical chips — are
+  /// charged, not leaked past the budget. An estimate, not an accounting
+  /// of every allocator header.
   [[nodiscard]] std::size_t approxBytes() const noexcept;
 
   /// Flattened artwork of the whole die / of the core, built on first use
@@ -128,10 +130,34 @@ struct CompiledChip {
   /// flat paths never build it and vice versa).
   [[nodiscard]] bool hierTopBuilt() const noexcept { return hierTop_ != nullptr; }
 
+  /// The core's extracted transistor netlist: `extract::extractFlat` of
+  /// `flatCore()`, nets labelled by the core's bristles. The spice and
+  /// transistors emitters both read it, so one chip runs one extraction.
+  /// (Lint's ERC extracts on its own: it sets the core boundary and so
+  /// gets a different netlist.)
+  ///
+  /// Lifetime: built on the first call and kept for the chip's lifetime;
+  /// until then it costs nothing (a compile never builds it). `clone()`
+  /// does not copy it, and `approxBytes()` charges it once built.
+  ///
+  /// Thread safety: the build runs under `std::call_once`, so any number
+  /// of threads may call this concurrently on one shared chip — the
+  /// first builds, the rest wait, later calls only read. The build reads
+  /// `flatCore()`, whose own first call is not thread-safe: as for every
+  /// derived artifact, fill `flatCore` before sharing the chip (the
+  /// compile service's prewarm does).
+  [[nodiscard]] const netlist::TransistorNetlist& coreNetlist() const;
+
+  /// True when `coreNetlist` has been built.
+  [[nodiscard]] bool coreNetlistBuilt() const noexcept {
+    return coreNetlist_.ifBuilt() != nullptr;
+  }
+
  private:
   mutable std::unique_ptr<cell::FlatLayout> flatTop_;
   mutable std::unique_ptr<cell::FlatLayout> flatCore_;
   mutable std::unique_ptr<cell::HierIndex> hierTop_;
+  OnceSlot<netlist::TransistorNetlist> coreNetlist_;
 };
 
 }  // namespace bb::core

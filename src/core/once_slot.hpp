@@ -1,0 +1,73 @@
+/// \file once_slot.hpp
+/// A lazily built, thread-safe cached value: `core::OnceSlot<T>`.
+
+#pragma once
+
+#include <atomic>
+#include <memory>
+#include <mutex>
+#include <optional>
+
+namespace bb::core {
+
+/// A `T` built on first use, exactly once, under `std::call_once`:
+/// concurrent first callers wait while one of them builds it, and later
+/// calls only read. An unused slot is one null pointer — nothing is
+/// allocated until the first `get`. Movable (the built value moves with
+/// the slot), not copyable; moving a slot while another thread reads it
+/// is a data race like any other move.
+template <class T>
+class OnceSlot {
+ public:
+  OnceSlot() = default;
+  OnceSlot(const OnceSlot&) = delete;
+  OnceSlot& operator=(const OnceSlot&) = delete;
+  OnceSlot(OnceSlot&& o) noexcept : state_(o.state_.exchange(nullptr)) {}
+  OnceSlot& operator=(OnceSlot&& o) noexcept {
+    if (this != &o) delete state_.exchange(o.state_.exchange(nullptr));
+    return *this;
+  }
+  ~OnceSlot() { delete state_.load(); }
+
+  /// The value, built by `build()` on the first call. If `build` throws,
+  /// the exception propagates and the next call tries again.
+  template <class Build>
+  [[nodiscard]] const T& get(Build&& build) const {
+    State& s = state();
+    std::call_once(s.once, [&] {
+      s.value.emplace(build());
+      s.ready.store(true, std::memory_order_release);
+    });
+    return *s.value;
+  }
+
+  /// The value if it has been built, else null. Safe to call while
+  /// another thread is inside `get`.
+  [[nodiscard]] const T* ifBuilt() const noexcept {
+    const State* s = state_.load(std::memory_order_acquire);
+    return s != nullptr && s->ready.load(std::memory_order_acquire) ? &*s->value : nullptr;
+  }
+
+ private:
+  struct State {
+    std::once_flag once;
+    std::optional<T> value;
+    std::atomic<bool> ready{false};
+  };
+
+  /// The shared state, allocated by whichever first caller wins the race.
+  State& state() const {
+    State* s = state_.load(std::memory_order_acquire);
+    if (s == nullptr) {
+      auto fresh = std::make_unique<State>();
+      if (state_.compare_exchange_strong(s, fresh.get(), std::memory_order_acq_rel)) {
+        s = fresh.release();
+      }
+    }
+    return *s;
+  }
+
+  mutable std::atomic<State*> state_{nullptr};
+};
+
+}  // namespace bb::core

@@ -111,12 +111,11 @@ std::unique_ptr<Element> makeRegfile(const icl::ElementDecl& decl, const icl::Ch
                                      icl::DiagnosticList& diags) {
   const long long n = intParam(decl, "n", 4, 1, 64, diags);
   const icl::ParamValue* sel = decl.param("select");
-  std::string selName;
-  if (sel == nullptr || !sel->isName()) {
+  const bool hasSelect = sel != nullptr && sel->isName();
+  std::string selName = hasSelect ? sel->asText() : std::string("?");
+  if (!hasSelect) {
     diags.error(decl.loc, "regfile '" + decl.name + "': missing 'select' field parameter");
-    selName = "?";
   } else {
-    selName = sel->asText();
     const icl::FieldDecl* f = chip.microcode.field(selName);
     if (f == nullptr) {
       diags.error(decl.loc, "regfile '" + decl.name + "': unknown microcode field '" + selName +

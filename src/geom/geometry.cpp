@@ -1,5 +1,7 @@
 #include "geom/geometry.hpp"
 
+#include "geom/text_buffer.hpp"
+
 #include <cassert>
 #include <cstdlib>
 
@@ -211,12 +213,15 @@ Coord unionAreaBrute(const std::vector<Rect>& rs) {
 }
 
 std::string toString(Point p) {
-  return "(" + std::to_string(p.x) + "," + std::to_string(p.y) + ")";
+  TextBuffer out;
+  out << '(' << p.x << ',' << p.y << ')';
+  return out.take();
 }
 
 std::string toString(const Rect& r) {
-  return "[" + std::to_string(r.x0) + "," + std::to_string(r.y0) + " .. " +
-         std::to_string(r.x1) + "," + std::to_string(r.y1) + "]";
+  TextBuffer out;
+  out << '[' << r.x0 << ',' << r.y0 << " .. " << r.x1 << ',' << r.y1 << ']';
+  return out.take();
 }
 
 }  // namespace bb::geom

@@ -1,5 +1,7 @@
 #include "layout/cif.hpp"
 
+#include "geom/text_buffer.hpp"
+
 #include <map>
 #include <sstream>
 #include <vector>
@@ -22,7 +24,7 @@ void collect(const Cell& c, std::vector<const Cell*>& order,
 
 /// CIF transform suffix for one of our D4 orientations. CIF applies the
 /// listed operations left to right; CIF MX negates x, MY negates y.
-std::string cifOrient(Orientation o) {
+std::string_view cifOrient(Orientation o) {
   switch (o) {
     case Orientation::R0: return "";
     case Orientation::R90: return " R 0 1";
@@ -43,7 +45,7 @@ std::string writeCif(const Cell& top, const CifOptions& opts) {
   std::map<const Cell*, int> ids;
   collect(top, order, ids);
 
-  std::ostringstream os;
+  geom::TextBuffer os;
   if (opts.comments) {
     os << "( Bristle Blocks silicon compiler -- CIF 2.0 mask set );\n";
     os << "( top cell: " << top.name() << " );\n";
@@ -97,13 +99,13 @@ std::string writeCif(const Cell& top, const CifOptions& opts) {
   }
   os << "C " << ids[&top] << ";\n";
   os << "E\n";
-  return os.str();
+  return os.take();
 }
 
 std::string writeCifHier(const Cell& top, const CifOptions& opts) { return writeCif(top, opts); }
 
 std::string writeCif(const View& v, const CifOptions& opts) {
-  std::ostringstream os;
+  geom::TextBuffer os;
   if (opts.comments) {
     os << "( Bristle Blocks silicon compiler -- CIF 2.0 mask set );\n";
     os << "( flat artwork, window " << geom::toString(v.window()) << " );\n";
@@ -139,7 +141,7 @@ std::string writeCif(const View& v, const CifOptions& opts) {
   os << "DF;\n";
   os << "C 1;\n";
   os << "E\n";
-  return os.str();
+  return os.take();
 }
 
 std::string writeCif(const cell::FlatLayout& flat, const ViewOptions& view,

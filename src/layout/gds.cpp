@@ -3,9 +3,11 @@
 #include "geom/poly.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <cstring>
+#include <initializer_list>
 #include <map>
+#include <string_view>
 #include <utility>
 
 namespace bb::layout {
@@ -47,53 +49,43 @@ enum : std::uint8_t {
   kDtAscii = 0x06,
 };
 
+/// Appends big-endian GDSII records straight into one byte vector.
 class Emitter {
  public:
-  void record(std::uint8_t type, std::uint8_t dtype, const std::vector<std::uint8_t>& payload) {
-    const std::size_t len = payload.size() + 4;
-    bytes_.push_back(static_cast<std::uint8_t>(len >> 8));
-    bytes_.push_back(static_cast<std::uint8_t>(len & 0xff));
-    bytes_.push_back(type);
-    bytes_.push_back(dtype);
-    bytes_.insert(bytes_.end(), payload.begin(), payload.end());
+  void i16(std::uint8_t type, std::initializer_list<std::int16_t> vals) {
+    header(type, kDtI16, 2 * vals.size());
+    for (std::int16_t v : vals) put16(v);
   }
 
-  void i16(std::uint8_t type, std::vector<std::int16_t> vals) {
-    std::vector<std::uint8_t> p;
-    for (std::int16_t v : vals) {
-      p.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-      p.push_back(static_cast<std::uint8_t>(v & 0xff));
-    }
-    record(type, kDtI16, p);
+  void i32(std::uint8_t type, std::initializer_list<std::int32_t> vals) {
+    header(type, kDtI32, 4 * vals.size());
+    for (std::int32_t v : vals) put32(v);
   }
 
-  void i32(std::uint8_t type, const std::vector<std::int32_t>& vals) {
-    std::vector<std::uint8_t> p;
-    for (std::int32_t v : vals) {
-      p.push_back(static_cast<std::uint8_t>((v >> 24) & 0xff));
-      p.push_back(static_cast<std::uint8_t>((v >> 16) & 0xff));
-      p.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-      p.push_back(static_cast<std::uint8_t>(v & 0xff));
-    }
-    record(type, kDtI32, p);
+  /// XY record of a point sequence; `closeRing` repeats the first point,
+  /// as a GDS boundary requires.
+  void xy(const std::vector<geom::Point>& pts, bool closeRing) {
+    header(kXy, kDtI32, 8 * (pts.size() + (closeRing ? 1 : 0)));
+    for (geom::Point q : pts) putPoint(q);
+    if (closeRing) putPoint(pts.front());
   }
 
-  void f64(std::uint8_t type, const std::vector<double>& vals) {
-    std::vector<std::uint8_t> p;
+  void f64(std::uint8_t type, std::initializer_list<double> vals) {
+    header(type, kDtF64, 8 * vals.size());
     for (double v : vals) {
       const auto r = real8(v);
-      p.insert(p.end(), r.begin(), r.end());
+      bytes_.insert(bytes_.end(), r.begin(), r.end());
     }
-    record(type, kDtF64, p);
   }
 
-  void ascii(std::uint8_t type, std::string s) {
-    if (s.size() % 2 != 0) s.push_back('\0');  // records are even-length
-    std::vector<std::uint8_t> p(s.begin(), s.end());
-    record(type, kDtAscii, p);
+  void ascii(std::uint8_t type, std::string_view s) {
+    const bool pad = s.size() % 2 != 0;  // records are even-length
+    header(type, kDtAscii, s.size() + (pad ? 1 : 0));
+    bytes_.insert(bytes_.end(), s.begin(), s.end());
+    if (pad) bytes_.push_back(0);
   }
 
-  void none(std::uint8_t type) { record(type, kDtNone, {}); }
+  void none(std::uint8_t type) { header(type, kDtNone, 0); }
 
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
@@ -122,6 +114,33 @@ class Emitter {
   }
 
  private:
+  /// Record length (header included, truncated to the 16-bit field),
+  /// type and data type; the caller appends exactly `payloadBytes`.
+  void header(std::uint8_t type, std::uint8_t dtype, std::size_t payloadBytes) {
+    const std::size_t len = payloadBytes + 4;
+    const std::uint8_t h[4] = {static_cast<std::uint8_t>(len >> 8),
+                               static_cast<std::uint8_t>(len & 0xff), type, dtype};
+    bytes_.insert(bytes_.end(), h, h + 4);
+  }
+
+  void put16(std::int16_t v) {
+    const std::uint8_t b[2] = {static_cast<std::uint8_t>((v >> 8) & 0xff),
+                               static_cast<std::uint8_t>(v & 0xff)};
+    bytes_.insert(bytes_.end(), b, b + 2);
+  }
+
+  void put32(std::int32_t v) {
+    const std::uint8_t b[4] = {
+        static_cast<std::uint8_t>((v >> 24) & 0xff), static_cast<std::uint8_t>((v >> 16) & 0xff),
+        static_cast<std::uint8_t>((v >> 8) & 0xff), static_cast<std::uint8_t>(v & 0xff)};
+    bytes_.insert(bytes_.end(), b, b + 4);
+  }
+
+  void putPoint(geom::Point q) {
+    put32(static_cast<std::int32_t>(q.x));
+    put32(static_cast<std::int32_t>(q.y));
+  }
+
   std::vector<std::uint8_t> bytes_;
 };
 
@@ -132,12 +151,15 @@ void collect(const Cell& c, std::vector<const Cell*>& order, std::map<const Cell
   order.push_back(&c);
 }
 
-std::vector<std::int32_t> rectXy(const geom::Rect& r) {
-  return {static_cast<std::int32_t>(r.x0), static_cast<std::int32_t>(r.y0),
-          static_cast<std::int32_t>(r.x1), static_cast<std::int32_t>(r.y0),
-          static_cast<std::int32_t>(r.x1), static_cast<std::int32_t>(r.y1),
-          static_cast<std::int32_t>(r.x0), static_cast<std::int32_t>(r.y1),
-          static_cast<std::int32_t>(r.x0), static_cast<std::int32_t>(r.y0)};
+/// One rect as a BOUNDARY element: its closed five-point ring.
+void emitRectBoundary(Emitter& e, std::int16_t layer, const geom::Rect& r) {
+  const auto x0 = static_cast<std::int32_t>(r.x0), y0 = static_cast<std::int32_t>(r.y0);
+  const auto x1 = static_cast<std::int32_t>(r.x1), y1 = static_cast<std::int32_t>(r.y1);
+  e.none(kBoundary);
+  e.i16(kLayer, {layer});
+  e.i16(kDatatype, {0});
+  e.i32(kXy, {x0, y0, x1, y0, x1, y1, x0, y1, x0, y0});
+  e.none(kEndEl);
 }
 
 /// GDS models placement as optional reflect-about-x followed by CCW
@@ -207,16 +229,7 @@ void emitPolyBoundary(Emitter& e, std::int16_t layer, const geom::Polygon& p) {
   e.none(kBoundary);
   e.i16(kLayer, {layer});
   e.i16(kDatatype, {0});
-  std::vector<std::int32_t> xy;
-  xy.reserve(2 * (p.pts.size() + 1));
-  for (geom::Point q : p.pts) {
-    xy.push_back(static_cast<std::int32_t>(q.x));
-    xy.push_back(static_cast<std::int32_t>(q.y));
-  }
-  // GDS boundaries repeat the first point.
-  xy.push_back(static_cast<std::int32_t>(p.pts[0].x));
-  xy.push_back(static_cast<std::int32_t>(p.pts[0].y));
-  e.i32(kXy, xy);
+  e.xy(p.pts, /*closeRing=*/true);
   e.none(kEndEl);
 }
 
@@ -224,29 +237,20 @@ void emitPolyBoundary(Emitter& e, std::int16_t layer, const geom::Polygon& p) {
 /// paths) — shared by the flat-order and AREF-compressing writers.
 void emitShapes(Emitter& e, const Cell& c) {
   for (const cell::Shape& s : c.shapes()) {
-    const int layer = tech::gdsNumber(s.layer);
+    const auto layer = static_cast<std::int16_t>(tech::gdsNumber(s.layer));
     std::visit(
         [&](const auto& g) {
           using T = std::decay_t<decltype(g)>;
           if constexpr (std::is_same_v<T, geom::Rect>) {
-            e.none(kBoundary);
-            e.i16(kLayer, {static_cast<std::int16_t>(layer)});
-            e.i16(kDatatype, {0});
-            e.i32(kXy, rectXy(g));
-            e.none(kEndEl);
+            emitRectBoundary(e, layer, g);
           } else if constexpr (std::is_same_v<T, geom::Polygon>) {
-            emitPolyBoundary(e, static_cast<std::int16_t>(layer), g);
+            emitPolyBoundary(e, layer, g);
           } else {
             e.none(kPath);
-            e.i16(kLayer, {static_cast<std::int16_t>(layer)});
+            e.i16(kLayer, {layer});
             e.i16(kDatatype, {0});
             e.i32(kWidth, {static_cast<std::int32_t>(g.width)});
-            std::vector<std::int32_t> xy;
-            for (geom::Point p : g.pts) {
-              xy.push_back(static_cast<std::int32_t>(p.x));
-              xy.push_back(static_cast<std::int32_t>(p.y));
-            }
-            e.i32(kXy, xy);
+            e.xy(g.pts, /*closeRing=*/false);
             e.none(kEndEl);
           }
         },
@@ -411,13 +415,7 @@ std::vector<std::uint8_t> writeGds(const View& v, const GdsOptions& opts) {
     const auto layer = static_cast<std::int16_t>(tech::gdsNumber(l));
     v.forEachTileParallel(l, [&](std::size_t tx, std::size_t ty,
                                  const std::vector<geom::Rect>& rs) {
-      for (const geom::Rect& r : rs) {
-        e.none(kBoundary);
-        e.i16(kLayer, {layer});
-        e.i16(kDatatype, {0});
-        e.i32(kXy, rectXy(r));
-        e.none(kEndEl);
-      }
+      for (const geom::Rect& r : rs) emitRectBoundary(e, layer, r);
       // This tile's polygon pieces (window-clipped under the default
       // clipPolygons policy), each emitted from exactly one owner tile.
       for (const auto& [pl, p] : v.windowPolygonsOwnedBy(tx, ty)) {

@@ -1,6 +1,6 @@
 #include "layout/svg.hpp"
 
-#include <sstream>
+#include "geom/text_buffer.hpp"
 
 namespace bb::layout {
 
@@ -21,7 +21,7 @@ std::string xmlEscape(std::string_view s) {
 
 namespace {
 
-void openDoc(std::ostringstream& os, const geom::Rect& bb, const SvgOptions& opts) {
+void openDoc(geom::TextBuffer& os, const geom::Rect& bb, const SvgOptions& opts) {
   const double s = opts.pixelsPerUnit;
   const double w = static_cast<double>(bb.width()) * s + 20;
   const double h = static_cast<double>(bb.height()) * s + 20;
@@ -41,7 +41,7 @@ struct Mapper {
   }
 };
 
-void emitRect(std::ostringstream& os, const Mapper& m, const geom::Rect& r, tech::Layer l,
+void emitRect(geom::TextBuffer& os, const Mapper& m, const geom::Rect& r, tech::Layer l,
               double opacity) {
   os << "<rect x=\"" << m.x(r.x0) << "\" y=\"" << m.y(r.y1) << "\" width=\""
      << static_cast<double>(r.width()) * m.s << "\" height=\""
@@ -49,7 +49,7 @@ void emitRect(std::ostringstream& os, const Mapper& m, const geom::Rect& r, tech
      << "\" fill-opacity=\"" << opacity << "\"/>\n";
 }
 
-void emitFlat(std::ostringstream& os, const Mapper& m, const View& view, double opacity) {
+void emitFlat(geom::TextBuffer& os, const Mapper& m, const View& view, double opacity) {
   // Draw in stack order: diffusion, implant, buried, poly, contact, metal, glass.
   const tech::Layer order[] = {tech::Layer::Diffusion, tech::Layer::Implant, tech::Layer::Buried,
                                tech::Layer::Poly,      tech::Layer::Contact, tech::Layer::Metal,
@@ -68,7 +68,7 @@ void emitFlat(std::ostringstream& os, const Mapper& m, const View& view, double 
   }
 }
 
-void emitOverlayPoint(std::ostringstream& os, const Mapper& m, const SvgOverlayPoint& p) {
+void emitOverlayPoint(geom::TextBuffer& os, const Mapper& m, const SvgOverlayPoint& p) {
   // The color is caller-supplied text too — escape it like the label.
   const std::string color = xmlEscape(p.color);
   os << "<circle cx=\"" << m.x(p.at.x) << "\" cy=\"" << m.y(p.at.y)
@@ -88,14 +88,18 @@ bool overlayVisible(const SvgOptions& opts, geom::Point at) {
 }  // namespace
 
 std::string renderSvg(const cell::Cell& top, const SvgOptions& opts) {
-  const cell::FlatLayout flat = cell::flatten(top);
+  return renderSvg(top, cell::flatten(top), opts);
+}
+
+std::string renderSvg(const cell::Cell& top, const cell::FlatLayout& flat,
+                      const SvgOptions& opts) {
   std::vector<SvgOverlayPoint> overlay;
   if (opts.drawBristles) {
     for (const cell::Bristle& b : top.bristles()) {
       overlay.push_back({b.pos, b.name, "#aa00aa"});
     }
   }
-  std::ostringstream os;
+  geom::TextBuffer os;
   const geom::Rect bb =
       opts.view.window ? *opts.view.window : top.boundary().unionWith(flat.bbox());
   openDoc(os, bb, opts);
@@ -112,12 +116,12 @@ std::string renderSvg(const cell::Cell& top, const SvgOptions& opts) {
     if (overlayVisible(opts, p.at)) emitOverlayPoint(os, m, p);
   }
   os << "</svg>\n";
-  return os.str();
+  return os.take();
 }
 
 std::string renderSvg(const cell::FlatLayout& flat, const std::vector<SvgOverlayPoint>& overlay,
                       const SvgOptions& opts) {
-  std::ostringstream os;
+  geom::TextBuffer os;
   geom::Rect bb;
   if (opts.view.window) {
     bb = *opts.view.window;
@@ -134,7 +138,7 @@ std::string renderSvg(const cell::FlatLayout& flat, const std::vector<SvgOverlay
     if (overlayVisible(opts, p.at)) emitOverlayPoint(os, m, p);
   }
   os << "</svg>\n";
-  return os.str();
+  return os.take();
 }
 
 }  // namespace bb::layout

@@ -41,6 +41,13 @@ struct SvgOptions {
 /// Render a cell (flattened) to an SVG document.
 [[nodiscard]] std::string renderSvg(const cell::Cell& top, const SvgOptions& opts = {});
 
+/// The same document from a flatten of `top` the caller already holds
+/// (`core::CompiledChip::flatTop`), so the render does not walk the
+/// hierarchy again. A windowed render queries `flat`'s per-layer
+/// indexes, building them on first use.
+[[nodiscard]] std::string renderSvg(const cell::Cell& top, const cell::FlatLayout& flat,
+                                    const SvgOptions& opts = {});
+
 /// Render pre-flattened artwork with an optional overlay of labelled
 /// points (used by the sticks / block representations and pad-ring demos).
 struct SvgOverlayPoint {

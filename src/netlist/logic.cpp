@@ -1,6 +1,6 @@
 #include "netlist/logic.hpp"
 
-#include <sstream>
+#include "geom/text_buffer.hpp"
 
 namespace bb::netlist {
 
@@ -81,7 +81,7 @@ void LogicModel::merge(const LogicModel& other) {
 }
 
 std::string LogicModel::toText() const {
-  std::ostringstream os;
+  geom::TextBuffer os;
   os << "logic diagram: " << gates_.size() << " gates, " << names_.size() << " signals\n";
   for (const Gate& g : gates_) {
     os << "  " << gateName(g.kind) << ' ' << names_[static_cast<std::size_t>(g.out)] << " <- ";
@@ -92,7 +92,7 @@ std::string LogicModel::toText() const {
     if (!g.name.empty()) os << "    (" << g.name << ')';
     os << "\n";
   }
-  return os.str();
+  return os.take();
 }
 
 std::map<std::string, std::size_t> LogicModel::histogram() const {

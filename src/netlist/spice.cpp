@@ -1,12 +1,13 @@
 #include "netlist/spice.hpp"
 
+#include "geom/text_buffer.hpp"
+
 #include <cctype>
-#include <sstream>
 
 namespace bb::netlist {
 
 std::string writeSpice(const TransistorNetlist& nl, const SpiceOptions& opts) {
-  std::ostringstream os;
+  geom::TextBuffer os;
   os << "* " << opts.title << "\n";
   os << ".model nenh nmos (vto=1.0)\n";
   os << ".model ndep nmos (vto=-3.0)\n";
@@ -29,7 +30,7 @@ std::string writeSpice(const TransistorNetlist& nl, const SpiceOptions& opts) {
        << " l=" << static_cast<double>(t.length) * micronsPerUnit << "u\n";
   }
   os << ".end\n";
-  return os.str();
+  return os.take();
 }
 
 }  // namespace bb::netlist

@@ -1,6 +1,6 @@
 #include "netlist/transistor.hpp"
 
-#include <sstream>
+#include "geom/text_buffer.hpp"
 
 namespace bb::netlist {
 
@@ -19,7 +19,9 @@ int TransistorNetlist::netByName(const std::string& name) {
 
 int TransistorNetlist::anonNet() {
   const int id = static_cast<int>(nets_.size());
-  nets_.push_back(Net{"n" + std::to_string(anon_++), false});
+  geom::TextBuffer name;
+  name << 'n' << anon_++;
+  nets_.push_back(Net{name.take(), false});
   return id;
 }
 
@@ -49,22 +51,22 @@ int TransistorNetlist::findNet(const std::string& name) const noexcept {
 }
 
 std::string TransistorNetlist::toText() const {
-  std::ostringstream os;
+  geom::TextBuffer os;
   os << "transistor diagram: " << trans_.size() << " devices ("
      << enhancementCount() << " enh, " << depletionCount() << " dep), " << nets_.size()
      << " nets\n";
+  const auto nn = [&](int id) -> std::string_view {
+    return id >= 0 && id < static_cast<int>(nets_.size())
+               ? std::string_view(nets_[static_cast<std::size_t>(id)].name)
+               : "?";
+  };
   int i = 0;
   for (const Transistor& t : trans_) {
-    auto nn = [&](int id) -> std::string {
-      return id >= 0 && id < static_cast<int>(nets_.size())
-                 ? nets_[static_cast<std::size_t>(id)].name
-                 : "?";
-    };
     os << "M" << i++ << ' ' << kindName(t.kind) << " g=" << nn(t.gate) << " s=" << nn(t.source)
        << " d=" << nn(t.drain) << " w/l=" << t.width << '/' << t.length << " at "
        << geom::toString(t.at) << "\n";
   }
-  return os.str();
+  return os.take();
 }
 
 }  // namespace bb::netlist

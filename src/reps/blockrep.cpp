@@ -1,12 +1,13 @@
 #include "reps/blockrep.hpp"
 
+#include "geom/text_buffer.hpp"
+
 #include <algorithm>
-#include <sstream>
 
 namespace bb::reps {
 
 std::string blockDiagram(const core::CompiledChip& chip) {
-  std::ostringstream os;
+  geom::TextBuffer os;
   std::size_t north = 0, south = 0, east = 0, west = 0;
   for (const core::PadPlacement& p : chip.pads) {
     switch (p.side) {
@@ -39,11 +40,11 @@ std::string blockDiagram(const core::CompiledChip& chip) {
   os << "|   +----------------------------------------------+   |\n";
   os << "|                                                      |\n";
   os << "+--------------------[ " << south << " pads ]--------------------+\n";
-  return os.str();
+  return os.take();
 }
 
 std::string logicalDiagram(const core::CompiledChip& chip) {
-  std::ostringstream os;
+  geom::TextBuffer os;
   os << "logical format — chip '" << chip.desc.name << "'\n\n";
   // Upper bus line.
   const std::string busA = chip.desc.buses.empty() ? "A" : chip.desc.buses[0];
@@ -71,7 +72,7 @@ std::string logicalDiagram(const core::CompiledChip& chip) {
   os << "  microcode (" << chip.desc.microcode.width
      << " bits) enters the decoder twice per clock cycle\n";
   os << "  (phi1-qualified and phi2-qualified control sets).\n";
-  return os.str();
+  return os.take();
 }
 
 }  // namespace bb::reps

@@ -1,7 +1,5 @@
 #include "reps/emitter.hpp"
 
-#include "cell/flatten.hpp"
-#include "extract/extract.hpp"
 #include "layout/cif.hpp"
 #include "layout/gds.hpp"
 #include "layout/svg.hpp"
@@ -118,7 +116,7 @@ void emitSvg(const core::CompiledChip& chip, std::ostream& os) {
   layout::SvgOptions opts;
   opts.title = chip.desc.name;
   opts.pixelsPerUnit = 0.25;
-  os << layout::renderSvg(*chip.top, opts);
+  os << layout::renderSvg(*chip.top, chip.flatTop(), opts);
 }
 
 void emitSvgWindowed(const core::CompiledChip& chip, std::ostream& os,
@@ -129,15 +127,13 @@ void emitSvgWindowed(const core::CompiledChip& chip, std::ostream& os,
   opts.view = toViewOptions(eopts);
   // The Cell overload keeps the boundary outline and bristle markers of
   // the plain svg path; markers outside the window are skipped there.
-  os << layout::renderSvg(*chip.top, opts);
+  os << layout::renderSvg(*chip.top, chip.flatTop(), opts);
 }
 
 void emitSpice(const core::CompiledChip& chip, std::ostream& os) {
-  const extract::ExtractResult ex =
-      extract::extractFlat(chip.flatCore(), extract::labelsOf(*chip.core));
   netlist::SpiceOptions opts;
   opts.title = chip.desc.name + " extracted netlist";
-  os << netlist::writeSpice(ex.netlist, opts);
+  os << netlist::writeSpice(chip.coreNetlist(), opts);
 }
 
 void emitSticksSvg(const core::CompiledChip& chip, std::ostream& os) {

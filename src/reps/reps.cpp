@@ -1,14 +1,12 @@
 #include "reps/reps.hpp"
 
-#include "extract/extract.hpp"
+#include "geom/text_buffer.hpp"
 #include "layout/cif.hpp"
 #include "layout/gds.hpp"
 #include "layout/svg.hpp"
 #include "reps/blockrep.hpp"
 #include "reps/sticks.hpp"
 #include "reps/textrep.hpp"
-
-#include <sstream>
 
 namespace bb::reps {
 
@@ -40,7 +38,7 @@ int RepresentationSet::populatedCount() const noexcept {
 namespace {
 
 std::string simulationSummary(const core::CompiledChip& chip) {
-  std::ostringstream os;
+  geom::TextBuffer os;
   os << "simulation model: " << chip.logic.gates().size() << " gates over "
      << chip.logic.signalCount() << " signals\n";
   for (const auto& [kind, n] : chip.logic.histogram()) {
@@ -48,17 +46,15 @@ std::string simulationSummary(const core::CompiledChip& chip) {
   }
   os << "drive mc0.." << chip.desc.microcode.width - 1
      << " and clock phi1/phi2 to execute microcode; buses busA<i>/busB<i>.\n";
-  return os.str();
+  return os.take();
 }
 
 std::string transistorSummary(const core::CompiledChip& chip) {
-  // Extract the core (the decoder's stylized loads extract too, but the
+  // The core's netlist (the decoder's stylized loads extract too, but the
   // core is the electrically faithful part).
-  const extract::ExtractResult ex =
-      extract::extractFlat(chip.flatCore(), extract::labelsOf(*chip.core));
-  std::ostringstream os;
-  os << "extracted from core artwork:\n" << ex.netlist.toText();
-  return os.str();
+  geom::TextBuffer os;
+  os << "extracted from core artwork:\n" << chip.coreNetlist().toText();
+  return os.take();
 }
 
 }  // namespace
@@ -70,7 +66,7 @@ RepresentationSet generateAll(const core::CompiledChip& chip) {
   layout::SvgOptions svgo;
   svgo.title = chip.desc.name;
   svgo.pixelsPerUnit = 0.25;
-  rs.layoutSvg = layout::renderSvg(*chip.top, svgo);
+  rs.layoutSvg = layout::renderSvg(*chip.top, chip.flatTop(), svgo);
   const std::vector<Stick> sticks = sticksOf(chip.flatCore());
   rs.sticksText = sticksText(sticks);
   rs.sticksSvg = sticksSvg(sticks);

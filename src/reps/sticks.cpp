@@ -1,9 +1,9 @@
 #include "reps/sticks.hpp"
 
+#include "geom/text_buffer.hpp"
 #include "layout/svg.hpp"
 
 #include <map>
-#include <sstream>
 
 namespace bb::reps {
 
@@ -40,13 +40,13 @@ std::string sticksText(const std::vector<Stick>& sticks) {
     ++perLayer[s.layer];
     totalLen += geom::manhattan(s.a, s.b);
   }
-  std::ostringstream os;
+  geom::TextBuffer os;
   os << "sticks diagram: " << sticks.size() << " sticks, total length "
      << totalLen / geom::kUnitsPerLambda << "L\n";
   for (const auto& [l, n] : perLayer) {
     os << "  " << tech::layerName(l) << ": " << n << "\n";
   }
-  return os.str();
+  return os.take();
 }
 
 std::string sticksSvg(const std::vector<Stick>& sticks, double pixelsPerUnit,
@@ -58,7 +58,7 @@ std::string sticksSvg(const std::vector<Stick>& sticks, double pixelsPerUnit,
     bb = first ? r : bb.unionWith(r);
     first = false;
   }
-  std::ostringstream os;
+  geom::TextBuffer os;
   const double w = static_cast<double>(bb.width()) * pixelsPerUnit + 20;
   const double h = static_cast<double>(bb.height()) * pixelsPerUnit + 20;
   os << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << w << "\" height=\"" << h
@@ -78,7 +78,7 @@ std::string sticksSvg(const std::vector<Stick>& sticks, double pixelsPerUnit,
     }
   }
   os << "</svg>\n";
-  return os.str();
+  return os.take();
 }
 
 }  // namespace bb::reps

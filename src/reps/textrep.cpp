@@ -4,12 +4,12 @@
 
 #include "reps/textrep.hpp"
 
-#include <sstream>
+#include "geom/text_buffer.hpp"
 
 namespace bb::reps {
 
 std::string userManual(const core::CompiledChip& chip) {
-  std::ostringstream os;
+  geom::TextBuffer os;
   os << "==========================================================\n";
   os << " USER'S MANUAL — chip '" << chip.desc.name << "'\n";
   os << " compiled by the Bristle Blocks silicon compiler\n";
@@ -57,7 +57,7 @@ std::string userManual(const core::CompiledChip& chip) {
   os << "\n7. ELECTRICAL\n";
   os << "   static supply current " << chip.stats.power_ua / 1000.0 << " mA; supply rails "
      << chip.stats.powerRailWidth / geom::kUnitsPerLambda << "L wide\n";
-  return os.str();
+  return os.take();
 }
 
 }  // namespace bb::reps

@@ -6,21 +6,25 @@
 /// stages, bit-identical results), the thread-safe emitter registry, and
 /// the `svc::CompileService` request path (content-addressed caching,
 /// single-flight dedup, option-fingerprint sensitivity, and viewport
-/// serving that never re-runs a compile stage on a warm cache).
+/// serving that never re-runs a compile stage on a warm cache), and the
+/// chip's lazily built core netlist shared by concurrent emits.
 
 #include "cell/hier_index.hpp"
 #include "core/digest.hpp"
 #include "core/fingerprint.hpp"
 #include "core/samples.hpp"
 #include "core/session.hpp"
+#include "extract/extract.hpp"
 #include "icl/builder.hpp"
 #include "layout/cif.hpp"
+#include "netlist/spice.hpp"
 #include "reps/emitter.hpp"
 #include "svc/cache.hpp"
 #include "svc/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <sstream>
@@ -605,6 +609,85 @@ TEST(ChipCacheCharge, MaterializedArtworkChargedWithinTwiceHandCount) {
   const std::size_t delta = warm - base;
   EXPECT_GE(delta, hand);
   EXPECT_LE(delta, 2 * hand);
+}
+
+// ------------------------------------------------- cached core netlist
+
+/// The spice deck and transistor text a fresh `extractFlat` of the core
+/// yields — what the emitters produced before the netlist was cached.
+std::pair<std::string, std::string> freshCoreOutputs(const core::CompiledChip& chip) {
+  const extract::ExtractResult ex =
+      extract::extractFlat(cell::flatten(*chip.core), extract::labelsOf(*chip.core));
+  netlist::SpiceOptions so;
+  so.title = chip.desc.name + " extracted netlist";
+  std::string text = "extracted from core artwork:\n";
+  text += ex.netlist.toText();
+  return {netlist::writeSpice(ex.netlist, so), std::move(text)};
+}
+
+TEST(CoreNetlist, SpiceAndTransistorsMatchAFreshExtraction) {
+  for (const icl::ChipDesc& desc :
+       {core::samples::smallChip(4), core::samples::largeChip(16, 8)}) {
+    auto compiled = core::compileChip(desc);
+    ASSERT_TRUE(compiled) << compiled.diagnostics().toString();
+    const core::CompiledChip& chip = **compiled;
+    EXPECT_FALSE(chip.coreNetlistBuilt());  // a compile never builds it
+    const auto [spice, transistors] = freshCoreOutputs(chip);
+    const reps::EmitterRegistry& reg = reps::EmitterRegistry::global();
+    EXPECT_EQ(reg.find("spice")->emitToString(chip), spice);
+    EXPECT_TRUE(chip.coreNetlistBuilt());
+    EXPECT_EQ(reg.find("transistors")->emitToString(chip), transistors);
+    EXPECT_EQ(&chip.coreNetlist(), &chip.coreNetlist());  // one netlist, built once
+  }
+}
+
+TEST(CoreNetlist, ChargedOnceBuiltAndNotCopiedByClone) {
+  auto compiled = core::compileChip(core::samples::smallChip(4));
+  ASSERT_TRUE(compiled) << compiled.diagnostics().toString();
+  const core::CompiledChip& chip = **compiled;
+  (void)chip.flatCore();
+  const std::size_t before = chip.approxBytes();
+  const netlist::TransistorNetlist& nl = chip.coreNetlist();
+  ASSERT_FALSE(nl.transistors().empty());
+  EXPECT_GE(chip.approxBytes() - before,
+            nl.transistors().size() * sizeof(netlist::Transistor) +
+                nl.nets().size() * sizeof(netlist::Net));
+
+  const core::CompiledChip copy = chip.clone();
+  EXPECT_FALSE(copy.coreNetlistBuilt());
+  EXPECT_NE(&copy.coreNetlist(), &nl);  // rebuilt from the clone's own cells
+  EXPECT_EQ(copy.coreNetlist().toText(), nl.toText());
+}
+
+TEST(CompileService, ConcurrentSpiceEmitsOnOneCachedChipAgree) {
+  // Two clients ask for spice on the same warm chip at once: the first
+  // builds the core netlist under call_once, the other waits for it.
+  svc::CompileService service;
+  const auto req = svc::CompileRequest::ofDesc(core::samples::largeChip(16, 8));
+  const svc::CompileResponse warm = service.compile(req);
+  ASSERT_TRUE(warm.ok()) << warm.diags.toString();
+  ASSERT_FALSE(warm.chip->coreNetlistBuilt());
+
+  std::array<svc::EmitResponse, 2> out;
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> clients;
+  for (std::size_t t = 0; t < out.size(); ++t) {
+    clients.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < 2) std::this_thread::yield();
+      out[t] = service.emit(req, "spice");
+    });
+  }
+  for (std::thread& c : clients) c.join();
+
+  for (const svc::EmitResponse& r : out) {
+    ASSERT_TRUE(r.ok) << r.diags.toString();
+    EXPECT_TRUE(r.cacheHit);
+  }
+  EXPECT_EQ(out[0].payload, out[1].payload);
+  EXPECT_EQ(out[0].payload, freshCoreOutputs(*warm.chip).first);
+  EXPECT_TRUE(warm.chip->coreNetlistBuilt());
+  EXPECT_EQ(service.stats().compilesExecuted, 1u);
 }
 
 // ------------------------------------------------ hierarchical viewport

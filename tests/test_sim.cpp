@@ -176,7 +176,7 @@ TEST(LogicModel, MergeUnifiesByName) {
 
 TEST(Simulator, ReadDriveBusHelpers) {
   LogicModel lm;
-  for (int i = 0; i < 4; ++i) lm.signal("v" + std::to_string(i));
+  for (char i = '0'; i < '4'; ++i) lm.signal(std::string{'v', i});
   Simulator sim(lm);
   sim.driveBus("v", 4, 0b1010);
   sim.settle();
