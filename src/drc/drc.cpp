@@ -214,6 +214,10 @@ void runTransistorChecks(const cell::FlatLayout& flat, const tech::RuleDeck& dec
   const auto& comp = deck.composite;
   const bool useIdx = opts.useSpatialIndex;
   Scratch s;
+  // Pure probes, evaluated only until the verdict is decided.
+  const auto covered = [&](const Rect& r, Layer l) {
+    return coveredByLayer(r, flat, l, useIdx, s);
+  };
   for (const Rect& g : gateRegions(flat, useIdx)) {
     // Poly must extend past the gate in its run direction, diffusion in
     // the orthogonal one; accept either orientation.
@@ -221,11 +225,8 @@ void runTransistorChecks(const cell::FlatLayout& flat, const tech::RuleDeck& dec
     const Rect extY{g.x0, g.y0 - comp.polyGateExtension, g.x1, g.y1 + comp.polyGateExtension};
     const Rect dExtX{g.x0 - comp.diffGateExtension, g.y0, g.x1 + comp.diffGateExtension, g.y1};
     const Rect dExtY{g.x0, g.y0 - comp.diffGateExtension, g.x1, g.y1 + comp.diffGateExtension};
-    const bool polyX = coveredByLayer(extX, flat, Layer::Poly, useIdx, s);
-    const bool polyY = coveredByLayer(extY, flat, Layer::Poly, useIdx, s);
-    const bool diffX = coveredByLayer(dExtX, flat, Layer::Diffusion, useIdx, s);
-    const bool diffY = coveredByLayer(dExtY, flat, Layer::Diffusion, useIdx, s);
-    const bool ok = (polyX && diffY) || (polyY && diffX);
+    const bool ok = (covered(extX, Layer::Poly) && covered(dExtY, Layer::Diffusion)) ||
+                    (covered(extY, Layer::Poly) && covered(dExtX, Layer::Diffusion));
     if (!ok) {
       // Buried contacts intentionally join poly and diffusion; their
       // overlap is not a transistor.
@@ -242,20 +243,20 @@ void runContactChecks(const cell::FlatLayout& flat, const tech::RuleDeck& deck,
   const auto& comp = deck.composite;
   const bool useIdx = opts.useSpatialIndex;
   Scratch s;
+  // Pure probes, evaluated only until the verdict is decided.
+  const auto covered = [&](const Rect& r, Layer l) {
+    return coveredByLayer(r, flat, l, useIdx, s);
+  };
   for (const Rect& cut : flat.on(Layer::Contact)) {
     const Rect need = cut.expanded(comp.contactSurround);
-    const bool metalOk = coveredByLayer(need, flat, Layer::Metal, useIdx, s);
-    const bool polyOk = coveredByLayer(need, flat, Layer::Poly, useIdx, s);
-    const bool diffOk = coveredByLayer(need, flat, Layer::Diffusion, useIdx, s);
-    if (!(metalOk && (polyOk || diffOk))) {
+    if (!(covered(need, Layer::Metal) &&
+          (covered(need, Layer::Poly) || covered(need, Layer::Diffusion)))) {
       out.push_back({"C.surround.1", Layer::Contact, Layer::Metal, cut,
                      "cut not surrounded by metal and poly-or-diff"});
     }
   }
   for (const Rect& b : flat.on(Layer::Buried)) {
-    const bool polyOk = coveredByLayer(b, flat, Layer::Poly, useIdx, s);
-    const bool diffOk = coveredByLayer(b, flat, Layer::Diffusion, useIdx, s);
-    if (!(polyOk && diffOk)) {
+    if (!(covered(b, Layer::Poly) && covered(b, Layer::Diffusion))) {
       out.push_back({"C.buried", Layer::Buried, Layer::Poly, b,
                      "buried contact not covered by poly and diffusion"});
     }

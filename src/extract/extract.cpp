@@ -4,7 +4,7 @@
 #include "geom/rect_index.hpp"
 
 #include <algorithm>
-#include <map>
+#include <array>
 #include <numeric>
 #include <optional>
 #include <tuple>
@@ -70,6 +70,9 @@ std::vector<Rect> polygonRegion(const geom::Polygon& p) {
 /// the indices of every rect in `rects` touching `q`, ascending — the
 /// same order either way, which keeps extraction (source/drain pick
 /// order, first-piece-wins label resolution) bit-identical across modes.
+///
+/// Neither copyable nor movable: an owning source points into its own
+/// index, so a copy would query the original's. Construct in place.
 class TouchSource {
  public:
   /// Own an index over a derived rect set (gate regions, net pieces).
@@ -83,6 +86,13 @@ class TouchSource {
   /// null runs the reference scan.
   TouchSource(const std::vector<Rect>& rects, const RectIndex* borrowed)
       : rects_(rects), index_(borrowed) {}
+
+  TouchSource(const TouchSource&) = delete;
+  TouchSource(TouchSource&&) = delete;
+  TouchSource& operator=(const TouchSource&) = delete;
+  TouchSource& operator=(TouchSource&&) = delete;
+
+  [[nodiscard]] const Rect& rect(std::size_t i) const noexcept { return rects_[i]; }
 
   template <typename F>
   void forTouching(const Rect& q, F&& f) const {
@@ -242,13 +252,26 @@ ExtractResult extractFlat(const cell::FlatLayout& flat, const std::vector<NetLab
                           [](const GateRegion& a, const GateRegion& b) { return a.r == b.r; }),
               gates.end());
 
-  // --- 2. fracture diffusion at gates ------------------------------------
+  // --- 2. pieces: diffusion fractured at gates, then poly, metal and
+  // polygon regions. Global piece ids follow that order; each conductor
+  // layer also lists its own pieces (rects and global ids, ascending), so
+  // every connectivity query below scans only the layer it asks about.
+  constexpr std::size_t kDiff = 0, kPoly = 1, kMetal = 2;  // condSlot order
+  std::vector<Piece> pieces;
+  std::array<std::vector<int>, 3> ids;
+  // Each layer's piece rects. Poly and metal leave theirs empty while
+  // their pieces are exactly flat.on(l), borrowing its rects and cached
+  // index; a polygon region joining the layer ends that.
+  std::array<std::vector<Rect>, 3> own;
+  const auto borrows = [&](std::size_t k) { return own[k].size() < ids[k].size(); };
+  const auto addPiece = [&](std::size_t k, Layer l, const Rect& r) {
+    ids[k].push_back(static_cast<int>(pieces.size()));
+    pieces.push_back({l, r});
+  };
   std::vector<Rect> gateRects;
   gateRects.reserve(gates.size());
   for (const GateRegion& g : gates) gateRects.push_back(g.r);
   const TouchSource gateSource(gateRects, useIdx);
-
-  std::vector<Piece> pieces;
   std::vector<Rect> holes;
   for (const Rect& d : flat.on(Layer::Diffusion)) {
     holes.clear();
@@ -261,11 +284,12 @@ ExtractResult extractFlat(const cell::FlatLayout& flat, const std::vector<NetLab
     });
     holes.erase(std::unique(holes.begin(), holes.end()), holes.end());
     for (const Rect& frag : subtractRects(d, holes)) {
-      pieces.push_back({Layer::Diffusion, frag});
+      addPiece(kDiff, Layer::Diffusion, frag);
+      own[kDiff].push_back(frag);
     }
   }
-  for (const Rect& p : flat.on(Layer::Poly)) pieces.push_back({Layer::Poly, p});
-  for (const Rect& m : flat.on(Layer::Metal)) pieces.push_back({Layer::Metal, m});
+  for (const Rect& p : flat.on(Layer::Poly)) addPiece(kPoly, Layer::Poly, p);
+  for (const Rect& m : flat.on(Layer::Metal)) addPiece(kMetal, Layer::Metal, m);
   // Polygon geometry on conductor layers joins connectivity as region
   // pieces appended after the rects (stable piece order keeps net ids
   // deterministic). Polygons are pure interconnect here: a polygon-drawn
@@ -273,63 +297,68 @@ ExtractResult extractFlat(const cell::FlatLayout& flat, const std::vector<NetLab
   // diffusion is not fractured at gates — drawing transistors with P
   // commands is out of this extractor's scope.
   for (const auto& [pl, poly] : flat.polygons) {
-    if (condSlot(pl) < 0) continue;
-    for (const Rect& frag : polygonRegion(poly)) pieces.push_back({pl, frag});
+    const int slot = condSlot(pl);
+    if (slot < 0) continue;
+    const auto k = static_cast<std::size_t>(slot);
+    for (const Rect& frag : polygonRegion(poly)) {
+      if (borrows(k)) own[k] = flat.on(pl);
+      addPiece(k, pl, frag);
+      own[k].push_back(frag);
+    }
   }
 
   // --- 3. connectivity ----------------------------------------------------
-  std::vector<Rect> pieceRects;
-  pieceRects.reserve(pieces.size());
-  for (const Piece& p : pieces) pieceRects.push_back(p.r);
-  const TouchSource pieceSource(pieceRects, useIdx);
+  const auto sourceOf = [&](std::size_t k, Layer l) {
+    if (borrows(k)) return layerSource(flat, l, useIdx);
+    return TouchSource(own[k], useIdx);
+  };
+  const TouchSource src[3] = {sourceOf(kDiff, Layer::Diffusion), sourceOf(kPoly, Layer::Poly),
+                              sourceOf(kMetal, Layer::Metal)};
 
   UnionFind uf(pieces.size());
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    pieceSource.forTouching(pieces[i].r, [&](int j) {
-      if (j <= static_cast<int>(i)) return;
-      if (pieces[static_cast<std::size_t>(j)].layer != pieces[i].layer) return;
-      uf.unite(static_cast<int>(i), j);
-    });
+  for (std::size_t k = 0; k < 3; ++k) {
+    const std::vector<int>& id = ids[k];
+    for (std::size_t i = 0; i < id.size(); ++i) {
+      src[k].forTouching(src[k].rect(i), [&](int j) {
+        if (j > static_cast<int>(i)) uf.unite(id[i], id[static_cast<std::size_t>(j)]);
+      });
+    }
   }
-  auto connectAcross = [&](const Rect& via, Layer a, Layer b) {
-    int firstA = -1, firstB = -1;
-    pieceSource.forTouching(via, [&](int i) {
-      const Piece& p = pieces[static_cast<std::size_t>(i)];
-      if (p.layer == a) {
-        if (firstA < 0) firstA = i;
-        else uf.unite(i, firstA);
-      }
-      if (p.layer == b) {
-        if (firstB < 0) firstB = i;
-        else uf.unite(i, firstB);
-      }
-    });
+  const auto anyTouching = [&](std::size_t k, const Rect& q) {
+    bool hit = false;
+    src[k].forTouching(q, [&](int) { hit = true; });
+    return hit;
+  };
+  const auto connectAcross = [&](const Rect& via, std::size_t a, std::size_t b) {
+    const auto join = [&](std::size_t k) {
+      int first = -1;
+      src[k].forTouching(via, [&](int i) {
+        const int g = ids[k][static_cast<std::size_t>(i)];
+        if (first < 0) first = g;
+        else uf.unite(g, first);
+      });
+      return first;
+    };
+    const int firstA = join(a);
+    const int firstB = join(b);
     if (firstA >= 0 && firstB >= 0) uf.unite(firstA, firstB);
   };
   for (const Rect& cut : flat.on(Layer::Contact)) {
     // A cut connects metal to whichever of poly/diff lies under it.
-    bool hasPoly = false, hasDiff = false;
-    pieceSource.forTouching(cut, [&](int i) {
-      const Piece& p = pieces[static_cast<std::size_t>(i)];
-      hasPoly |= p.layer == Layer::Poly;
-      hasDiff |= p.layer == Layer::Diffusion;
-    });
-    if (hasPoly) connectAcross(cut, Layer::Metal, Layer::Poly);
-    if (hasDiff && !hasPoly) connectAcross(cut, Layer::Metal, Layer::Diffusion);
+    if (anyTouching(kPoly, cut)) connectAcross(cut, kMetal, kPoly);
+    else if (anyTouching(kDiff, cut)) connectAcross(cut, kMetal, kDiff);
   }
-  for (const Rect& b : flat.on(Layer::Buried)) {
-    connectAcross(b, Layer::Poly, Layer::Diffusion);
-  }
+  for (const Rect& b : flat.on(Layer::Buried)) connectAcross(b, kPoly, kDiff);
 
   // --- 4. net ids ----------------------------------------------------------
-  std::map<int, int> rootToNet;
-  auto netOfPiece = [&](int idx) -> int {
-    const int root = uf.find(idx);
-    auto it = rootToNet.find(root);
-    if (it != rootToNet.end()) return it->second;
-    const int id = res.netlist.anonNet();
-    rootToNet[root] = id;
-    return id;
+  std::vector<int> netOfRoot(pieces.size(), -1);
+  const auto netOfPiece = [&](int g) -> int {
+    int& net = netOfRoot[static_cast<std::size_t>(uf.find(g))];
+    if (net < 0) {
+      net = res.netlist.anonNet();
+      ++res.netCount;
+    }
+    return net;
   };
 
   // Labels first, so named nets get their bristle names. Every label's
@@ -338,49 +367,43 @@ ExtractResult extractFlat(const cell::FlatLayout& flat, const std::vector<NetLab
   res.labelBindings.reserve(labels.size());
   for (const NetLabel& lbl : labels) {
     int bound = -1;
-    pieceSource.forTouching(Rect{lbl.at.x, lbl.at.y, lbl.at.x, lbl.at.y}, [&](int i) {
-      if (bound >= 0) return;
-      if (pieces[static_cast<std::size_t>(i)].layer == lbl.layer &&
-          pieces[static_cast<std::size_t>(i)].r.contains(lbl.at)) {
-        bound = netOfPiece(i);
+    if (const int slot = condSlot(lbl.layer); slot >= 0) {
+      const auto k = static_cast<std::size_t>(slot);
+      src[k].forTouching(Rect{lbl.at.x, lbl.at.y, lbl.at.x, lbl.at.y}, [&](int i) {
+        if (bound >= 0 || !src[k].rect(static_cast<std::size_t>(i)).contains(lbl.at)) return;
+        bound = netOfPiece(ids[k][static_cast<std::size_t>(i)]);
         res.netlist.rename(bound, lbl.name);
-      }
-    });
+      });
+    }
     res.labelBindings.push_back({lbl.name, lbl.layer, lbl.at, bound});
   }
 
   // --- 5. transistors --------------------------------------------------------
+  std::vector<int> sd;
   for (const GateRegion& g : gates) {
     // Gate net: poly piece overlapping the gate region.
     int gateNet = -1;
-    pieceSource.forTouching(g.r, [&](int i) {
-      if (gateNet >= 0) return;
-      if (pieces[static_cast<std::size_t>(i)].layer == Layer::Poly &&
-          pieces[static_cast<std::size_t>(i)].r.overlaps(g.r)) {
-        gateNet = netOfPiece(i);
+    src[kPoly].forTouching(g.r, [&](int i) {
+      if (gateNet < 0 && src[kPoly].rect(static_cast<std::size_t>(i)).overlaps(g.r)) {
+        gateNet = netOfPiece(ids[kPoly][static_cast<std::size_t>(i)]);
       }
     });
-    // Source/drain: diffusion fragments touching the gate region.
-    std::vector<int> sd;
-    pieceSource.forTouching(g.r, [&](int i) {
-      const Piece& p = pieces[static_cast<std::size_t>(i)];
-      if (p.layer != Layer::Diffusion) return;
-      const int net = netOfPiece(i);
+    // Source/drain: diffusion fragments touching the gate region. Channel
+    // length runs along the poly direction (gate dimension between the
+    // two diffusion fragments); infer it from fragment adjacency:
+    // fragments to the left/right -> length = g width in x, width = y.
+    sd.clear();
+    bool horizontalFlow = false;
+    src[kDiff].forTouching(g.r, [&](int i) {
+      const Rect& p = src[kDiff].rect(static_cast<std::size_t>(i));
+      if (p.x1 <= g.r.x0 || p.x0 >= g.r.x1) horizontalFlow = true;
+      const int net = netOfPiece(ids[kDiff][static_cast<std::size_t>(i)]);
       if (std::find(sd.begin(), sd.end(), net) == sd.end()) sd.push_back(net);
     });
     netlist::Transistor t;
     t.kind = g.depletion ? netlist::TransKind::Depletion : netlist::TransKind::Enhancement;
     t.gate = gateNet;
     t.at = g.r.center();
-    // Channel length runs along the poly direction (gate dimension between
-    // the two diffusion fragments); infer from fragment adjacency:
-    // fragments to the left/right -> length = g width in x, width = y.
-    bool horizontalFlow = false;
-    pieceSource.forTouching(g.r, [&](int i) {
-      const Piece& p = pieces[static_cast<std::size_t>(i)];
-      if (p.layer != Layer::Diffusion) return;
-      if (p.r.x1 <= g.r.x0 || p.r.x0 >= g.r.x1) horizontalFlow = true;
-    });
     if (horizontalFlow) {
       t.length = g.r.width();
       t.width = g.r.height();
@@ -402,8 +425,8 @@ ExtractResult extractFlat(const cell::FlatLayout& flat, const std::vector<NetLab
 
   // Every conductor piece is an electrical node even if no device or label
   // touched it; materialize those nets so netCount reports true node count.
-  for (std::size_t i = 0; i < pieces.size(); ++i) netOfPiece(static_cast<int>(i));
-  res.netCount = rootToNet.size();
+  std::vector<int> netOf(pieces.size());
+  for (std::size_t i = 0; i < pieces.size(); ++i) netOf[i] = netOfPiece(static_cast<int>(i));
 
   // --- 6. per-net ERC classification ---------------------------------------
   res.netInfo.resize(res.netlist.nets().size());
@@ -414,7 +437,7 @@ ExtractResult extractFlat(const cell::FlatLayout& flat, const std::vector<NetLab
   };
   for (std::size_t i = 0; i < pieces.size(); ++i) {
     const Piece& p = pieces[i];
-    NetInfo& info = res.netInfo[static_cast<std::size_t>(netOfPiece(static_cast<int>(i)))];
+    NetInfo& info = res.netInfo[static_cast<std::size_t>(netOf[i])];
     if (info.pieces == 0) info.at = p.r.center();
     ++info.pieces;
     info.layerMask |= static_cast<std::uint8_t>(1u << static_cast<unsigned>(p.layer));
@@ -432,7 +455,7 @@ ExtractResult extractFlat(const cell::FlatLayout& flat, const std::vector<NetLab
   if (opts.keepPieces) {
     res.pieces.reserve(pieces.size());
     for (std::size_t i = 0; i < pieces.size(); ++i) {
-      res.pieces.push_back({pieces[i].layer, pieces[i].r, netOfPiece(static_cast<int>(i))});
+      res.pieces.push_back({pieces[i].layer, pieces[i].r, netOf[i]});
     }
   }
   return res;
@@ -650,14 +673,14 @@ ExtractResult extractHier(const cell::HierIndex& hier, const std::vector<NetLabe
   }
 
   // --- 3. net ids: labels (bound at world coordinates) first -------------
-  std::map<int, int> rootToNet;
+  std::vector<int> netOfRoot(off[P + 1], -1);
   const auto netOfGlobal = [&](int g) -> int {
-    const int root = uf.find(g);
-    const auto it = rootToNet.find(root);
-    if (it != rootToNet.end()) return it->second;
-    const int id = res.netlist.anonNet();
-    rootToNet[root] = id;
-    return id;
+    int& net = netOfRoot[static_cast<std::size_t>(uf.find(g))];
+    if (net < 0) {
+      net = res.netlist.anonNet();
+      ++res.netCount;
+    }
+    return net;
   };
   res.labelBindings.reserve(labels.size());
   for (const NetLabel& lbl : labels) {
@@ -707,7 +730,6 @@ ExtractResult extractHier(const cell::HierIndex& hier, const std::vector<NetLabe
       (void)netOfGlobal(static_cast<int>(off[s] + i));
     }
   }
-  res.netCount = rootToNet.size();
 
   // --- 5. per-net ERC classification (world coordinates) -----------------
   res.netInfo.resize(res.netlist.nets().size());

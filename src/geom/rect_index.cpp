@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 namespace bb::geom {
 
@@ -11,6 +12,11 @@ namespace {
 constexpr Coord floorDiv(Coord v, Coord d) noexcept {
   return v >= 0 ? v / d : -((-v + d - 1) / d);
 }
+
+/// Entry flags: the cell lies in the rect's first grid column / row.
+constexpr std::uint32_t kHomeCol = 1u << 31;
+constexpr std::uint32_t kHomeRow = 1u << 30;
+constexpr std::uint32_t kIndexMask = kHomeRow - 1;
 
 }  // namespace
 
@@ -24,6 +30,9 @@ void RectIndex::build() {
   if (n == 0) {
     cs_ = 1;
     return;
+  }
+  if (n > std::size_t{kIndexMask} + 1) {
+    throw std::length_error("RectIndex: more than 2^30 rects");
   }
   const Rect bb = bboxOf(rects_);
   ox_ = bb.x0;
@@ -48,24 +57,27 @@ void RectIndex::build() {
 
   // CSR fill: count entries per cell, prefix-sum, then place.
   start_.assign(static_cast<std::size_t>(nx_ * ny_) + 1, 0);
+  // `f(cell, flags)` for every cell `r` overlaps, flags marking the
+  // cells in its first column and first row.
   auto cellRange = [&](const Rect& r, auto&& f) {
     const Coord gx0 = gridX(r.x0), gx1 = gridX(r.x1);
     const Coord gy0 = gridY(r.y0), gy1 = gridY(r.y1);
     for (Coord gy = gy0; gy <= gy1; ++gy) {
+      const std::uint32_t row = gy == gy0 ? kHomeRow : 0;
       for (Coord gx = gx0; gx <= gx1; ++gx) {
-        f(static_cast<std::size_t>(gy * nx_ + gx));
+        f(static_cast<std::size_t>(gy * nx_ + gx), row | (gx == gx0 ? kHomeCol : 0));
       }
     }
   };
   for (const Rect& r : rects_) {
-    cellRange(r, [&](std::size_t c) { ++start_[c + 1]; });
+    cellRange(r, [&](std::size_t c, std::uint32_t) { ++start_[c + 1]; });
   }
   std::partial_sum(start_.begin(), start_.end(), start_.begin());
   items_.resize(start_.back());
   std::vector<std::uint32_t> fill(start_.begin(), start_.end() - 1);
   for (std::size_t i = 0; i < n; ++i) {
-    cellRange(rects_[i], [&](std::size_t c) {
-      items_[fill[c]++] = static_cast<std::uint32_t>(i);
+    cellRange(rects_[i], [&](std::size_t c, std::uint32_t flags) {
+      items_[fill[c]++] = static_cast<std::uint32_t>(i) | flags;
     });
   }
 }
@@ -81,17 +93,21 @@ void RectIndex::queryTouching(const Rect& q, std::vector<int>& out) const {
   const Coord qx1 = std::min<Coord>(gridX(q.x1), nx_ - 1);
   const Coord qy0 = std::max<Coord>(gridY(q.y0), 0);
   const Coord qy1 = std::min<Coord>(gridY(q.y1), ny_ - 1);
+  // A rect spanning several query cells would be reported once per cell;
+  // only its first cell inside the window reports it — in its home column
+  // or the window's first, and likewise for rows — so the flag bits
+  // de-duplicate without a division per candidate. This keeps queries
+  // stateless (and therefore thread-safe).
   for (Coord gy = qy0; gy <= qy1; ++gy) {
+    const std::uint32_t needRow = gy == qy0 ? 0 : kHomeRow;
     for (Coord gx = qx0; gx <= qx1; ++gx) {
+      const std::uint32_t need = needRow | (gx == qx0 ? 0 : kHomeCol);
       const std::size_t c = static_cast<std::size_t>(gy * nx_ + gx);
       for (std::uint32_t k = start_[c]; k < start_[c + 1]; ++k) {
-        const std::uint32_t i = items_[k];
-        const Rect& r = rects_[i];
-        // A rect spanning several query cells would be reported once per
-        // cell; only its first cell inside the window reports it. This
-        // keeps queries stateless (and therefore thread-safe).
-        if (std::max(gridX(r.x0), qx0) != gx || std::max(gridY(r.y0), qy0) != gy) continue;
-        if (r.touches(q)) out.push_back(static_cast<int>(i));
+        const std::uint32_t e = items_[k];
+        if ((e & need) != need) continue;
+        const std::uint32_t i = e & kIndexMask;
+        if (rects_[i].touches(q)) out.push_back(static_cast<int>(i));
       }
     }
   }

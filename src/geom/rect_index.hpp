@@ -17,6 +17,15 @@
 /// The index is a snapshot: it copies the rects at construction and never
 /// observes later mutation of the source vector. Queries are const and
 /// touch no mutable state, so a built index can be shared across threads.
+///
+/// A rect spanning several cells is bucketed in each of them. Each CSR
+/// entry carries two flag bits beside the rect index: "this cell is in the
+/// rect's first column" and "... first row". A query reports an entry only
+/// in its first cell inside the window — `(homeCol || gx == qx0) &&
+/// (homeRow || gy == qy0)` — so de-duplication costs no division and no
+/// per-rect side array. The flags take the top two bits of a 32-bit
+/// entry, which caps an index at 2^30 rects; larger inputs throw
+/// `std::length_error`.
 
 #pragma once
 
@@ -34,6 +43,7 @@ class RectIndex {
 
   /// Index `rects`. `cellSize` == 0 picks a grid pitch from the average
   /// rect extent (clamped so the grid never exceeds ~4 cells per rect).
+  /// Throws `std::length_error` for more than 2^30 rects.
   explicit RectIndex(std::vector<Rect> rects, Coord cellSize = 0);
 
   [[nodiscard]] std::size_t size() const noexcept { return rects_.size(); }
@@ -70,7 +80,9 @@ class RectIndex {
   Coord ox_ = 0, oy_ = 0;    ///< grid origin (bbox lower-left)
   std::int64_t nx_ = 0, ny_ = 0;
   std::vector<std::uint32_t> start_;  ///< CSR offsets, nx*ny + 1
-  std::vector<std::uint32_t> items_;  ///< rect indices, bucketed by cell
+  /// Bucketed entries: rect index in the low 30 bits, home-column and
+  /// home-row flags in the top two (see the file note).
+  std::vector<std::uint32_t> items_;
 };
 
 /// Reference O(n^2) all-pairs connected components (the pre-index

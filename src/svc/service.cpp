@@ -138,7 +138,8 @@ void CompileService::finishKey(std::uint64_t key, const ChipHandle& handle) {
 /// One pipelined compileAll call: shared by every task the batch
 /// schedules. Lives on the calling thread's stack — `compileAll` does
 /// not return until `remaining` hits zero, so captured references into
-/// it stay valid for every task and parked callback.
+/// it stay valid for every task and parked callback until that request
+/// retires (`batchDone`'s locked decrement is its last touch).
 struct CompileService::BatchState {
   std::vector<CompileRequest>& reqs;
   std::vector<CompileResponse>& out;
@@ -161,12 +162,13 @@ void CompileService::batchAdmit(BatchState& b) {
 
 void CompileService::batchDone(BatchState& b, std::size_t i) {
   b.out[i].latency = Clock::now() - b.start;  // sojourn, not service time
-  {
-    const std::lock_guard<std::mutex> lock(b.mu);
-    --b.remaining;
-  }
-  b.cv.notify_all();
   batchAdmit(b);  // keep the lane busy
+  // Once `remaining` can read zero, `compileAll` may return and take `b`
+  // with it — before this call returns when `i` was parked on another
+  // thread's key — so admit first and notify under the lock.
+  const std::lock_guard<std::mutex> lock(b.mu);
+  --b.remaining;
+  b.cv.notify_all();
 }
 
 void CompileService::batchStep(BatchState& b, std::size_t i) {

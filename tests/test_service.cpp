@@ -397,6 +397,9 @@ TEST(EmitterRegistryThreaded, ConcurrentReadersWhileRegistering) {
       }
     });
   }
+  // Register only once a reader is reading, so the two overlap even when
+  // the readers start late on a loaded machine.
+  while (lookups.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
   for (int i = 0; i < kCustom; ++i) {
     reg.add(std::make_unique<NoopEmitter>("custom" + std::to_string(i)));
     std::this_thread::yield();
@@ -571,6 +574,37 @@ TEST(CompileService, EvictionKeepsServingCorrectChips) {
   auto fresh = core::compileChip(a, {});
   ASSERT_TRUE(fresh);
   EXPECT_EQ(cifOf(*again.chip), cifOf(**fresh));
+}
+
+TEST(CompileService, CompileAllOutlivesTwinsRetiredOnAnotherThread) {
+  // Two callers batch the same design with caching off, so requests keep
+  // parking on the other caller's in-flight key and are retired on that
+  // caller's thread. The owning compileAll may return as soon as its last
+  // request retires; retiring used to be followed by a notify and a lane
+  // admission on the (by then dead) batch — a stack use after return that
+  // ASan reports when both callers share one CPU.
+  svc::ServiceOptions opts;
+  opts.cacheBudgetBytes = 0;
+  svc::CompileService service(opts);
+  const icl::ChipDesc desc = core::samples::smallChip(4);
+  constexpr int kRounds = 200;
+  std::atomic<int> failed{0};
+  const auto client = [&] {
+    for (int r = 0; r < kRounds; ++r) {
+      std::vector<svc::CompileRequest> reqs(2, svc::CompileRequest::ofDesc(desc));
+      for (const svc::CompileResponse& resp : service.compileAll(std::move(reqs))) {
+        if (!resp.ok()) failed.fetch_add(1);
+      }
+    }
+  };
+  std::thread other(client);
+  client();
+  other.join();
+  EXPECT_EQ(failed.load(), 0);
+  const svc::ServiceStats s = service.stats();
+  EXPECT_EQ(s.compileRequests, 4u * kRounds);
+  EXPECT_EQ(s.failures, 0u);
+  EXPECT_GT(s.dedupedInFlight, 0u);  // the parked path really ran
 }
 
 // ------------------------------------------- approxBytes cache charging
