@@ -6,38 +6,90 @@
 /// Absolute 1979 PDP-10 minutes are meaningless on modern hardware; the
 /// claim's *shape* is the large/small ratio (~2.5-4x) and near-linear
 /// scaling with chip size. This bench measures full compilation plus all
-/// representations.
+/// representations, and compilation alone.
+///
+/// Perf rows land in BENCH.json as the `compile_` family:
+/// `compile_only_{small4,large16x8,large64x16}` (parse -> finalize;
+/// items are chips, so items_per_sec is chips/s; 64x16 is the largest
+/// design of the perfbench sweep grid) and
+/// `compile_all_reps_{small4,large16x8}` (compile plus every
+/// representation). Env knob: BB_BENCH_SMOKE=1 runs fewer iterations and
+/// skips the google-benchmark timings. Exits nonzero when no row lands.
 
 #include "bench_util.hpp"
 
 #include "reps/reps.hpp"
 
 #include <chrono>
+#include <cstdlib>
+#include <string>
 
 using namespace bb;
 
 namespace {
 
-double fullCompileSeconds(const icl::ChipDesc& desc, int iters = 5) {
+/// Mean seconds per call over `iters` calls of `fn`.
+template <class Fn>
+double meanSeconds(int iters, Fn&& fn) {
   const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) {
-    auto chip = bench::compile(desc);
-    const reps::RepresentationSet rs = reps::generateAll(*chip);
-    benchmark::DoNotOptimize(rs.cif.size());
-  }
+  for (int i = 0; i < iters; ++i) fn();
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count() / iters;
 }
 
-void printTable() {
+double compileOnlySeconds(const icl::ChipDesc& desc, int iters) {
+  return meanSeconds(iters, [&] {
+    auto chip = bench::compile(desc);
+    benchmark::DoNotOptimize(chip->stats.shapeCount);
+  });
+}
+
+double fullCompileSeconds(const icl::ChipDesc& desc, int iters = 5) {
+  return meanSeconds(iters, [&] {
+    auto chip = bench::compile(desc);
+    const reps::RepresentationSet rs = reps::generateAll(*chip);
+    benchmark::DoNotOptimize(rs.cif.size());
+  });
+}
+
+/// One row per timed run: n chips, so items_per_sec is chips/s.
+void recordChips(const std::string& row, int chips, double secondsPerChip) {
+  bench::BenchJson::instance().recordRun(row, chips, secondsPerChip * chips);
+}
+
+void printTable(bool smoke) {
+  const int iters = smoke ? 3 : 20;
   std::printf("== TIME: full compile incl. all representations ==\n");
-  const double tSmall = fullCompileSeconds(core::samples::smallChip(4));
-  const double tLarge = fullCompileSeconds(core::samples::largeChip(16, 8));
+  const double tSmall = fullCompileSeconds(core::samples::smallChip(4), iters);
+  const double tLarge = fullCompileSeconds(core::samples::largeChip(16, 8), iters);
+  recordChips("compile_all_reps_small4", iters, tSmall);
+  recordChips("compile_all_reps_large16x8", iters, tLarge);
   std::printf("%-24s %12s\n", "chip", "seconds");
   std::printf("%-24s %12.4f   (paper: ~4 min on a PDP-10)\n", "small (5 elem, 4-bit)",
               tSmall);
   std::printf("%-24s %12.4f   (paper: 10-15 min)\n", "large (9 elem, 16-bit)", tLarge);
   std::printf("large/small ratio: %.2fx (paper's claim implies ~2.5-4x)\n", tLarge / tSmall);
+
+  std::printf("\ncompile only (parse -> finalize):\n");
+  std::printf("%-24s %12s\n", "chip", "chips/s");
+  const struct {
+    const char* row;
+    const char* label;
+    icl::ChipDesc desc;
+  } only[] = {
+      {"compile_only_small4", "small (4-bit)", core::samples::smallChip(4)},
+      {"compile_only_large16x8", "large (16-bit, 8 regs)", core::samples::largeChip(16, 8)},
+      {"compile_only_large64x16", "sweep max (64-bit, 16)", core::samples::largeChip(64, 16)},
+  };
+  for (const auto& c : only) {
+    const double t = compileOnlySeconds(c.desc, iters * 5);
+    recordChips(c.row, iters * 5, t);
+    std::printf("%-24s %12.1f\n", c.label, 1.0 / t);
+  }
+  if (smoke) {
+    std::printf("\n");
+    return;
+  }
 
   std::printf("\nscaling in chip size (elements x width):\n");
   std::printf("%8s %8s %12s\n", "bits", "regs", "seconds");
@@ -90,7 +142,13 @@ BENCHMARK(BM_FullCompileLarge);
 }  // namespace
 
 int main(int argc, char** argv) {
-  printTable();
+  const bool smoke = std::getenv("BB_BENCH_SMOKE") != nullptr;
+  printTable(smoke);
+  if (!bench::BenchJson::instance().write()) {
+    std::fprintf(stderr, "FATAL: failed to land perf rows in BENCH.json (cause above)\n");
+    return 1;
+  }
+  if (smoke) return 0;
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   return 0;

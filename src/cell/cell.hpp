@@ -17,6 +17,7 @@
 #include "tech/layers.hpp"
 
 #include <memory>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -105,6 +106,13 @@ struct StretchLine {
   std::string name;  ///< e.g. "pitch", "vdd-widen"
 };
 
+/// One stretch applied along an axis: material at-or-beyond coordinate
+/// `at` moves by `delta` (>= 0). See cell/stretch.hpp.
+struct StretchCut {
+  geom::Coord at = 0;
+  geom::Coord delta = 0;
+};
+
 /// A procedural cell's materialized form.
 ///
 /// Element generators build `Cell`s; the compiler stretches, places and
@@ -118,8 +126,8 @@ class Cell {
 
   // --- construction -------------------------------------------------
   void addRect(tech::Layer l, const geom::Rect& r) { shapes_.push_back({l, r}); }
-  void addPolygon(tech::Layer l, geom::Polygon p) { shapes_.push_back({l, std::move(p)}); }
-  void addPath(tech::Layer l, geom::Path p) { shapes_.push_back({l, std::move(p)}); }
+  void addPolygon(tech::Layer l, geom::Polygon p) { shapes_.emplace_back(l, std::move(p)); }
+  void addPath(tech::Layer l, geom::Path p) { shapes_.emplace_back(l, std::move(p)); }
   /// Convenience: a wire from a to b (axis-parallel) of width w.
   void addWire(tech::Layer l, geom::Point a, geom::Point b, geom::Coord w);
   /// Convenience: contact cut + surround on both connected layers at `center`.
@@ -158,6 +166,8 @@ class Cell {
   [[nodiscard]] geom::Coord width() const noexcept { return boundary().width(); }
   [[nodiscard]] geom::Coord height() const noexcept { return boundary().height(); }
 
+  /// Static current of this cell's own pull-ups in uA (see setOwnPower).
+  [[nodiscard]] double ownPower() const noexcept { return ownPower_ua_; }
   /// Total static current in uA: own pull-ups plus all sub-instances.
   [[nodiscard]] double powerDemand() const noexcept;
 
@@ -169,7 +179,7 @@ class Cell {
 
   // Stretch needs to rewrite everything; it lives in stretch.cpp and is a
   // friend so the cell's invariants stay in one file.
-  friend Cell stretched(const Cell& c, StretchAxis axis, geom::Coord at, geom::Coord delta,
+  friend Cell stretched(const Cell& c, StretchAxis axis, std::span<const StretchCut> cuts,
                         std::string newName);
   // Library cloning must retarget Instance::cell pointers into the clone.
   friend class CellLibrary;

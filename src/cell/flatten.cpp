@@ -1,5 +1,7 @@
 #include "cell/flatten.hpp"
 
+#include <unordered_map>
+
 namespace bb::cell {
 
 const geom::RectIndex& FlatLayout::indexOn(tech::Layer l) const {
@@ -78,6 +80,29 @@ FlatLayout flatten(const Cell& c, const geom::Transform& t) {
   FlatLayout out;
   flattenInto(out, c, t);
   return out;
+}
+
+namespace {
+
+std::size_t flatCountMemo(const Cell& c, std::unordered_map<const Cell*, std::size_t>& memo) {
+  if (const auto it = memo.find(&c); it != memo.end()) return it->second;
+  std::size_t n = 0;
+  for (const Shape& s : c.shapes()) {
+    // A path flattens to toRects(): one rect per segment, or one square
+    // for a single point.
+    const auto* path = std::get_if<geom::Path>(&s.geo);
+    n += path == nullptr ? 1 : path->pts.size() - (path->pts.size() > 1 ? 1 : 0);
+  }
+  for (const Instance& i : c.instances()) n += flatCountMemo(*i.cell, memo);
+  memo.emplace(&c, n);
+  return n;
+}
+
+}  // namespace
+
+std::size_t flatCount(const Cell& c) {
+  std::unordered_map<const Cell*, std::size_t> memo;
+  return flatCountMemo(c, memo);
 }
 
 }  // namespace bb::cell

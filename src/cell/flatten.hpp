@@ -64,4 +64,11 @@ struct FlatLayout {
 /// several placed cells).
 void flattenInto(FlatLayout& out, const Cell& c, const geom::Transform& t = {});
 
+/// The number of primitives `flatten(c)` would hold, i.e.
+/// `flatten(c).totalCount()`, without building it: a rect or polygon
+/// counts 1 and a path its `toRects()` size (0, 1 or points-1), summed
+/// over the expanded tree with one count per distinct cell, so the cost
+/// scales with the cells and instance edges, not the flattened shapes.
+[[nodiscard]] std::size_t flatCount(const Cell& c);
+
 }  // namespace bb::cell

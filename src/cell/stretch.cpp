@@ -11,24 +11,44 @@ using geom::Coord;
 using geom::Point;
 using geom::Rect;
 
-/// Coordinate of a point along the stretch axis.
-Coord along(StretchAxis axis, Point p) noexcept { return axis == StretchAxis::X ? p.x : p.y; }
+/// Where a cut list sends each coordinate along its axis.
+class CutMap {
+ public:
+  CutMap(StretchAxis axis, std::span<const StretchCut> cuts) noexcept
+      : axis_(axis), cuts_(cuts) {
+    assert(std::all_of(cuts.begin(), cuts.end(),
+                       [](const StretchCut& k) { return k.delta >= 0; }) &&
+           "stretch deltas are non-negative");
+  }
 
-Point shift(StretchAxis axis, Coord delta) noexcept {
-  return axis == StretchAxis::X ? Point{delta, 0} : Point{0, delta};
-}
+  /// The summed deltas of the cuts at or below `v`.
+  [[nodiscard]] Coord shiftAt(Coord v) const noexcept {
+    Coord d = 0;
+    for (const StretchCut& k : cuts_) {
+      if (v >= k.at) d += k.delta;
+    }
+    return d;
+  }
 
-/// Move a single point if it sits at-or-beyond the line.
-Point movePoint(StretchAxis axis, Coord at, Coord delta, Point p) noexcept {
-  if (along(axis, p) >= at) return p + shift(axis, delta);
-  return p;
-}
+  [[nodiscard]] Point operator()(Point p) const noexcept {
+    if (axis_ == StretchAxis::X) {
+      p.x += shiftAt(p.x);
+    } else {
+      p.y += shiftAt(p.y);
+    }
+    return p;
+  }
 
-Rect stretchRect(StretchAxis axis, Coord at, Coord delta, const Rect& r) noexcept {
-  const Point a = movePoint(axis, at, delta, {r.x0, r.y0});
-  const Point b = movePoint(axis, at, delta, {r.x1, r.y1});
-  return Rect{a.x, a.y, b.x, b.y};
-}
+  [[nodiscard]] Rect operator()(const Rect& r) const noexcept {
+    const Point a = (*this)(Point{r.x0, r.y0});
+    const Point b = (*this)(Point{r.x1, r.y1});
+    return Rect{a.x, a.y, b.x, b.y};
+  }
+
+ private:
+  StretchAxis axis_;
+  std::span<const StretchCut> cuts_;
+};
 
 }  // namespace
 
@@ -42,66 +62,82 @@ bool instanceStraddlesLine(const Cell& c, StretchAxis axis, geom::Coord at) noex
   return false;
 }
 
-Cell stretched(const Cell& c, StretchAxis axis, geom::Coord at, geom::Coord delta,
+Cell stretched(const Cell& c, StretchAxis axis, std::span<const StretchCut> cuts,
                std::string newName) {
-  assert(delta >= 0 && "stretch deltas are non-negative");
-  if (newName.empty()) newName = c.name() + "+" + std::to_string(delta);
+  if (newName.empty()) {
+    newName = c.name();
+    for (const StretchCut& k : cuts) {
+      newName += '+';
+      newName += std::to_string(k.delta);
+    }
+  }
+  const CutMap moved(axis, cuts);
   Cell out(std::move(newName));
   out.setDoc(c.doc());
-  out.setOwnPower(c.powerDemand());
   // Own power must not double-count sub-instances: we copy instances
-  // below, so subtract their contribution back out.
+  // below, so subtract their contribution back out — once per cut, as the
+  // cuts applied one at a time would.
   double sub = 0;
   for (const Instance& i : c.instances()) sub += i.cell->powerDemand();
-  out.setOwnPower(c.powerDemand() - sub);
+  double own = c.ownPower();
+  for (std::size_t k = 0; k < cuts.size(); ++k) {
+    double total = own;
+    for (const Instance& i : c.instances()) total += i.cell->powerDemand();
+    own = total - sub;
+  }
+  out.setOwnPower(own);
 
+  out.shapes_.reserve(c.shapes().size());
   for (const Shape& s : c.shapes()) {
     std::visit(
         [&](const auto& g) {
           using T = std::decay_t<decltype(g)>;
           if constexpr (std::is_same_v<T, Rect>) {
-            out.addRect(s.layer, stretchRect(axis, at, delta, g));
-          } else if constexpr (std::is_same_v<T, geom::Polygon>) {
-            geom::Polygon p;
-            p.pts.reserve(g.pts.size());
-            for (Point q : g.pts) p.pts.push_back(movePoint(axis, at, delta, q));
-            out.addPolygon(s.layer, std::move(p));
+            out.shapes_.emplace_back(s.layer, moved(g));
           } else {
-            geom::Path p;
-            p.width = g.width;
+            T p;
+            if constexpr (std::is_same_v<T, geom::Path>) p.width = g.width;
             p.pts.reserve(g.pts.size());
-            for (Point q : g.pts) p.pts.push_back(movePoint(axis, at, delta, q));
-            out.addPath(s.layer, std::move(p));
+            for (Point q : g.pts) p.pts.push_back(moved(q));
+            out.shapes_.emplace_back(s.layer, std::move(p));
           }
         },
         s.geo);
   }
 
+  out.instances_.reserve(c.instances().size());
   for (const Instance& i : c.instances()) {
     const Rect b = i.placement(i.cell->boundary());
-    const Coord lo = axis == StretchAxis::X ? b.x0 : b.y0;
     geom::Transform t = i.placement;
-    if (lo >= at) t.offset += shift(axis, delta);
     // Straddling instances are a generator bug; translate-if-beyond keeps
     // the result well-formed and instanceStraddlesLine() reports it.
+    const Coord d = moved.shiftAt(axis == StretchAxis::X ? b.x0 : b.y0);
+    t.offset += axis == StretchAxis::X ? Point{d, 0} : Point{0, d};
     out.addInstance(i.cell, t, i.name);
   }
 
+  out.bristles_.reserve(c.bristles().size());
   for (Bristle b : c.bristles()) {
-    b.pos = movePoint(axis, at, delta, b.pos);
+    b.pos = moved(b.pos);
     out.addBristle(std::move(b));
   }
 
-  for (const StretchLine& sl : c.stretchLines()) {
-    StretchLine ns = sl;
-    if (ns.axis == axis && ns.at >= at) ns.at += delta;
+  out.stretches_.reserve(c.stretchLines().size());
+  for (StretchLine sl : c.stretchLines()) {
     // A line on the other axis is unaffected by where material moved;
     // keep it as declared.
-    out.addStretch(ns.axis, ns.at, ns.name);
+    if (sl.axis == axis) sl.at += moved.shiftAt(sl.at);
+    out.stretches_.push_back(std::move(sl));
   }
 
-  out.setBoundary(stretchRect(axis, at, delta, c.boundary()));
+  out.setBoundary(moved(c.boundary()));
   return out;
+}
+
+Cell stretched(const Cell& c, StretchAxis axis, geom::Coord at, geom::Coord delta,
+               std::string newName) {
+  const StretchCut cut{at, delta};
+  return stretched(c, axis, std::span(&cut, 1), std::move(newName));
 }
 
 FitResult stretchedToExtent(const Cell& c, StretchAxis axis, geom::Coord target,

@@ -1,8 +1,8 @@
 #include "core/chip.hpp"
 
 #include "extract/extract.hpp"
+#include "geom/text_buffer.hpp"
 
-#include <sstream>
 #include <unordered_map>
 #include <variant>
 
@@ -16,7 +16,7 @@ double toLambda2(geom::Coord v) {
 }  // namespace
 
 std::string CompiledChip::statsText() const {
-  std::ostringstream os;
+  geom::TextBuffer os;
   os << "chip '" << desc.name << "': " << desc.dataWidth << "-bit, " << placed.size()
      << " core elements, " << desc.buses.size() << " buses\n";
   os << "  pitch:        " << toLambda(stats.pitch) << "L (widest natural "
@@ -37,7 +37,7 @@ std::string CompiledChip::statsText() const {
      << " signals\n";
   os << "  artwork:      " << stats.cellCount << " cells, " << stats.shapeCount
      << " flattened primitives\n";
-  return os.str();
+  return os.take();
 }
 
 CompiledChip CompiledChip::clone() const {
@@ -92,9 +92,12 @@ std::size_t CompiledChip::approxBytes() const noexcept {
   // geometry, so on a hierarchical chip they dominate the shared cell
   // library above — omitting them is exactly the under-charge the svc
   // cache regression test pins down.
-  if (flatTop_) bytes += sizeof(cell::FlatLayout) + flatTop_->approxBytes();
-  if (flatCore_) bytes += sizeof(cell::FlatLayout) + flatCore_->approxBytes();
-  if (hierTop_) bytes += sizeof(cell::HierIndex) + hierTop_->approxBytes();
+  for (const cell::FlatLayout* flat : {flatTop_.ifBuilt(), flatCore_.ifBuilt()}) {
+    if (flat != nullptr) bytes += sizeof(cell::FlatLayout) + flat->approxBytes();
+  }
+  if (const cell::HierIndex* hier = hierTop_.ifBuilt()) {
+    bytes += sizeof(cell::HierIndex) + hier->approxBytes();
+  }
   if (const netlist::TransistorNetlist* nl = coreNetlist_.ifBuilt()) {
     // Devices, nets, and one by-name map node per named net.
     bytes += sizeof(netlist::TransistorNetlist) +
@@ -108,18 +111,15 @@ std::size_t CompiledChip::approxBytes() const noexcept {
 }
 
 const cell::FlatLayout& CompiledChip::flatTop() const {
-  if (!flatTop_) flatTop_ = std::make_unique<cell::FlatLayout>(cell::flatten(*top));
-  return *flatTop_;
+  return flatTop_.get([this] { return cell::flatten(*top); });
 }
 
 const cell::FlatLayout& CompiledChip::flatCore() const {
-  if (!flatCore_) flatCore_ = std::make_unique<cell::FlatLayout>(cell::flatten(*core));
-  return *flatCore_;
+  return flatCore_.get([this] { return cell::flatten(*core); });
 }
 
 const cell::HierIndex& CompiledChip::hierTop() const {
-  if (!hierTop_) hierTop_ = std::make_unique<cell::HierIndex>(*top);
-  return *hierTop_;
+  return hierTop_.get([this] { return cell::HierIndex(*top); });
 }
 
 const netlist::TransistorNetlist& CompiledChip::coreNetlist() const {

@@ -17,7 +17,6 @@
 #include "netlist/logic.hpp"
 #include "netlist/transistor.hpp"
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -88,9 +87,9 @@ struct CompiledChip {
   /// Deep copy: the cell library is cloned with every instance reference
   /// and the chip's own cell pointers (top/core/bufferRow/decoder, the
   /// placed-element columns) retargeted at the copies; all value state
-  /// (desc, controls, pads, logic, pla, stats) is copied. The flatten
-  /// caches and the core netlist are NOT copied — the clone rebuilds them
-  /// lazily. This is the checkpoint primitive behind `CompileSession`'s
+  /// (desc, controls, pads, logic, pla, stats) is copied. The derived
+  /// artifacts below are NOT copied — the clone rebuilds them lazily.
+  /// This is the checkpoint primitive behind `CompileSession`'s
   /// incremental recompilation: a pass re-run mutates a clone of the
   /// pre-pass chip, never the original.
   [[nodiscard]] CompiledChip clone() const;
@@ -98,65 +97,67 @@ struct CompiledChip {
   /// Deterministic estimate of the chip's resident size in bytes: cells,
   /// shapes with polygon/path vertices, bristles, instances, placed
   /// elements, pads, logic gates — PLUS whatever derived artwork is
-  /// materialized at call time (the flatten caches with their spatial
-  /// indexes, the hierarchical index, the core netlist). Used by
-  /// `svc::ChipCache` to charge entries against its byte budget; since
-  /// the service prewarmes the caches before inserting, the flattens —
-  /// which dwarf the shared cell library on hierarchical chips — are
-  /// charged, not leaked past the budget. An estimate, not an accounting
-  /// of every allocator header.
+  /// materialized at call time (the flattens with their spatial indexes,
+  /// the hierarchical index, the core netlist). Used by `svc::ChipCache`
+  /// to charge entries against its byte budget; since the service
+  /// prewarms the chip before inserting it, the flattens — which dwarf
+  /// the shared cell library on hierarchical chips — are charged, not
+  /// leaked past the budget. An estimate, not an accounting of every
+  /// allocator header.
   [[nodiscard]] std::size_t approxBytes() const noexcept;
 
-  /// Flattened artwork of the whole die / of the core, built on first use
-  /// and cached for the chip's lifetime, so finalize's stats, DRC,
+  // --- derived artifacts ----------------------------------------------
+  //
+  // `flatTop`, `flatCore`, `hierTop` and `coreNetlist` share one contract.
+  //
+  // Lifetime: each is built on its first call and kept for the chip's
+  // lifetime; until then it costs nothing (a compile builds none of them:
+  // finalize counts `stats.shapeCount` with `cell::flatCount`). They need
+  // the passes to have run (the cell pointers set); a compiled chip's
+  // cells are immutable, so nothing goes stale. `clone()` copies none of
+  // them, and `approxBytes()` charges each once built.
+  //
+  // Thread safety: each build runs under `std::call_once` (`OnceSlot`),
+  // so any number of threads may make the first call concurrently on one
+  // shared chip — one builds, the rest wait, every caller gets the same
+  // object, and later calls only read. What the artifacts hold inside is
+  // still lazy: the per-layer `geom::RectIndex`es of a `FlatLayout` and of
+  // the `HierIndex` units are built on first query and are not
+  // thread-safe, so call their `buildIndexes()` before querying them from
+  // several threads (the compile service's prewarm does).
+
+  /// Flattened artwork of the whole die / of the core, so DRC,
   /// extraction and every emitter share one flatten (and its per-layer
-  /// spatial indexes) instead of re-walking the hierarchy each. Requires
-  /// the corresponding cell pointer to be set (i.e. the passes have run);
-  /// a compiled chip's cells are immutable, so the cache never goes stale.
-  /// Like FlatLayout's lazy indexes, the first (cache-filling) call is
-  /// not thread-safe: call once before sharing the chip across threads
-  /// (finalize fills flatTop; BatchCompiler hands each chip to one
-  /// worker). Subsequent calls are const reads.
+  /// spatial indexes) instead of re-walking the hierarchy each.
   [[nodiscard]] const cell::FlatLayout& flatTop() const;
   [[nodiscard]] const cell::FlatLayout& flatCore() const;
 
   /// Hierarchical index of the whole die (`cell::HierIndex` over `top`):
   /// unique cells flattened once plus a placement index — what the
   /// hierarchical DRC/extract/emission paths and lazy viewports consume.
-  /// Same lifetime/caching/thread-safety contract as `flatTop`.
   [[nodiscard]] const cell::HierIndex& hierTop() const;
-
-  /// True when `hierTop` has been materialized (so tests can assert the
-  /// flat paths never build it and vice versa).
-  [[nodiscard]] bool hierTopBuilt() const noexcept { return hierTop_ != nullptr; }
 
   /// The core's extracted transistor netlist: `extract::extractFlat` of
   /// `flatCore()`, nets labelled by the core's bristles. The spice and
   /// transistors emitters both read it, so one chip runs one extraction.
   /// (Lint's ERC extracts on its own: it sets the core boundary and so
-  /// gets a different netlist.)
-  ///
-  /// Lifetime: built on the first call and kept for the chip's lifetime;
-  /// until then it costs nothing (a compile never builds it). `clone()`
-  /// does not copy it, and `approxBytes()` charges it once built.
-  ///
-  /// Thread safety: the build runs under `std::call_once`, so any number
-  /// of threads may call this concurrently on one shared chip — the
-  /// first builds, the rest wait, later calls only read. The build reads
-  /// `flatCore()`, whose own first call is not thread-safe: as for every
-  /// derived artifact, fill `flatCore` before sharing the chip (the
-  /// compile service's prewarm does).
+  /// gets a different netlist.) The build queries `flatCore()`'s layer
+  /// indexes, so it too wants them prewarmed when other threads query
+  /// them at the same time.
   [[nodiscard]] const netlist::TransistorNetlist& coreNetlist() const;
 
-  /// True when `coreNetlist` has been built.
+  /// Whether each artifact has been built (so tests can assert which
+  /// paths build what).
+  [[nodiscard]] bool flatTopBuilt() const noexcept { return flatTop_.ifBuilt() != nullptr; }
+  [[nodiscard]] bool hierTopBuilt() const noexcept { return hierTop_.ifBuilt() != nullptr; }
   [[nodiscard]] bool coreNetlistBuilt() const noexcept {
     return coreNetlist_.ifBuilt() != nullptr;
   }
 
  private:
-  mutable std::unique_ptr<cell::FlatLayout> flatTop_;
-  mutable std::unique_ptr<cell::FlatLayout> flatCore_;
-  mutable std::unique_ptr<cell::HierIndex> hierTop_;
+  OnceSlot<cell::FlatLayout> flatTop_;
+  OnceSlot<cell::FlatLayout> flatCore_;
+  OnceSlot<cell::HierIndex> hierTop_;
   OnceSlot<netlist::TransistorNetlist> coreNetlist_;
 };
 

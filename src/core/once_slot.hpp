@@ -6,16 +6,17 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <new>
 
 namespace bb::core {
 
 /// A `T` built on first use, exactly once, under `std::call_once`:
 /// concurrent first callers wait while one of them builds it, and later
 /// calls only read. An unused slot is one null pointer — nothing is
-/// allocated until the first `get`. Movable (the built value moves with
-/// the slot), not copyable; moving a slot while another thread reads it
-/// is a data race like any other move.
+/// allocated until the first `get`. The value is constructed in place
+/// from what the build returns, so `T` need not be movable. The slot is
+/// movable (the built value moves with it), not copyable; moving a slot
+/// while another thread reads it is a data race like any other move.
 template <class T>
 class OnceSlot {
  public:
@@ -35,23 +36,32 @@ class OnceSlot {
   [[nodiscard]] const T& get(Build&& build) const {
     State& s = state();
     std::call_once(s.once, [&] {
-      s.value.emplace(build());
+      ::new (static_cast<void*>(&s.value)) T(build());
       s.ready.store(true, std::memory_order_release);
     });
-    return *s.value;
+    return s.value;
   }
 
   /// The value if it has been built, else null. Safe to call while
   /// another thread is inside `get`.
   [[nodiscard]] const T* ifBuilt() const noexcept {
     const State* s = state_.load(std::memory_order_acquire);
-    return s != nullptr && s->ready.load(std::memory_order_acquire) ? &*s->value : nullptr;
+    return s != nullptr && s->ready.load(std::memory_order_acquire) ? &s->value : nullptr;
   }
 
  private:
   struct State {
+    State() {}  // `value` starts unconstructed; `get` builds it
+    State(const State&) = delete;
+    State& operator=(const State&) = delete;
+    ~State() {
+      if (ready.load(std::memory_order_acquire)) value.~T();
+    }
+
     std::once_flag once;
-    std::optional<T> value;
+    union {
+      T value;  ///< alive once `ready` is set
+    };
     std::atomic<bool> ready{false};
   };
 

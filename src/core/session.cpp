@@ -254,7 +254,7 @@ bool CompileSession::execute(Stage s) {
       return runPass3(*chip_, opts_.pass3, diags_);
     case Stage::Finalize: {
       chip_->stats.cellCount = chip_->lib.size();
-      chip_->stats.shapeCount = chip_->flatTop().totalCount();
+      chip_->stats.shapeCount = cell::flatCount(*chip_->top);
       chip_->stats.logicGates = chip_->logic.gates().size();
       chip_->stats.logicSignals = chip_->logic.signalCount();
       lintReport_.reset();

@@ -6,6 +6,7 @@
 #include "icl/eval.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace bb::elements {
 
@@ -134,17 +135,19 @@ geom::Coord lineAt(const cell::Cell& c, std::string_view name) {
 }  // namespace
 
 cell::Cell* fitSlice(const ElementContext& ctx, cell::Cell* slice) {
-  cell::Cell cur = *slice;
-  const geom::Coord natural = cur.height();
-  if (ctx.pitch > natural) {
-    cur = cell::stretched(cur, cell::StretchAxis::Y, lineAt(cur, "pitch"),
-                          ctx.pitch - natural);
-  }
+  // Pitch, then both rail widenings, as one multi-cut stretch: the cuts
+  // sit at the slice's own line positions (see cell/stretch.hpp).
+  std::array<cell::StretchCut, 3> cuts;
+  std::size_t n = 0;
+  const geom::Coord natural = slice->height();
+  if (ctx.pitch > natural) cuts[n++] = {lineAt(*slice, "pitch"), ctx.pitch - natural};
   if (ctx.railWiden > 0) {
-    cur = cell::stretched(cur, cell::StretchAxis::Y, lineAt(cur, "gnd-widen"), ctx.railWiden);
-    cur = cell::stretched(cur, cell::StretchAxis::Y, lineAt(cur, "vdd-widen"), ctx.railWiden);
+    cuts[n++] = {lineAt(*slice, "gnd-widen"), ctx.railWiden};
+    cuts[n++] = {lineAt(*slice, "vdd-widen"), ctx.railWiden};
   }
-  return ctx.lib->adopt(std::move(cur));
+  if (n == 0) return ctx.lib->adopt(*slice);
+  return ctx.lib->adopt(
+      cell::stretched(*slice, cell::StretchAxis::Y, std::span(cuts.data(), n)));
 }
 
 cell::Cell* stackSlices(cell::CellLibrary& lib, const std::string& name,

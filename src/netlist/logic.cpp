@@ -40,13 +40,12 @@ bool isBusDriver(GateKind k) noexcept {
 }
 
 int LogicModel::signal(const std::string& name) {
-  auto it = byName_.find(name);
-  if (it != byName_.end()) return it->second;
-  const int id = static_cast<int>(names_.size());
-  names_.push_back(name);
-  isBus_.push_back(false);
-  byName_[name] = id;
-  return id;
+  const auto [it, fresh] = byName_.try_emplace(name, static_cast<int>(names_.size()));
+  if (fresh) {
+    names_.push_back(name);
+    isBus_.push_back(false);
+  }
+  return it->second;
 }
 
 int LogicModel::internalSignal(const std::string& hint) {

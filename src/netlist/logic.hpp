@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace bb::netlist {
@@ -86,7 +87,7 @@ class LogicModel {
  private:
   std::vector<std::string> names_;
   std::vector<bool> isBus_;
-  std::map<std::string, int> byName_;
+  std::unordered_map<std::string, int> byName_;  ///< name -> id; lookups only
   std::vector<Gate> gates_;
   int anon_ = 0;
 };

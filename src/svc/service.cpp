@@ -36,6 +36,16 @@ std::optional<icl::ChipDesc> resolveDesc(const CompileRequest& req,
   return std::move(*parsed);
 }
 
+/// Build the flattens, the hierarchical index and every per-layer
+/// spatial index before the chip becomes shared, so later viewport and
+/// emit reads (flat or hierarchical) are const-only and the cache charges
+/// the flattens at insertion (see service.hpp).
+void prewarm(const core::CompiledChip& chip) {
+  chip.flatTop().buildIndexes();
+  chip.flatCore().buildIndexes();
+  chip.hierTop().buildIndexes();
+}
+
 }  // namespace
 
 CompileService::CompileService(ServiceOptions opts)
@@ -101,14 +111,7 @@ CompileResponse CompileService::compile(const CompileRequest& req) {
   ChipHandle handle;
   if (result) {
     handle = ChipHandle(std::move(*result));
-    if (opts_.prewarmChips) {
-      // Build the flattens, the hierarchical index and the per-layer
-      // spatial indexes before the chip becomes shared: later
-      // viewport/emit reads (flat or hierarchical) are then const-only.
-      handle->flatTop().buildIndexes();
-      handle->flatCore().buildIndexes();
-      handle->hierTop().buildIndexes();
-    }
+    prewarm(*handle);
     cache_.insert(resp.key, handle);
   }
   mergeInto(resp.diags, result.diagnostics());
@@ -244,11 +247,7 @@ void CompileService::batchStage(BatchState& b, std::size_t i,
   ChipHandle handle;
   if (sess->finished()) {
     handle = ChipHandle(sess->takeChip());
-    if (opts_.prewarmChips) {
-      handle->flatTop().buildIndexes();
-      handle->flatCore().buildIndexes();
-      handle->hierTop().buildIndexes();
-    }
+    prewarm(*handle);
     cache_.insert(key, handle);
   }
   mergeInto(resp.diags, sess->diagnostics());

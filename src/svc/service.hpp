@@ -26,11 +26,15 @@
 ///    and the service load bench via `ServiceStats::compilesExecuted`).
 ///
 /// Thread safety: every public method may be called concurrently.
-/// Chips entering the cache are prewarmed (`flatTop`/`flatCore`
-/// flattens, the `hierTop` hierarchical index, and their spatial
-/// indexes built) before they become visible, so concurrent viewport
-/// queries — flat or hierarchical — only ever perform const reads on
-/// shared chips.
+/// Every chip entering the cache is prewarmed before it becomes visible:
+/// the `flatTop`/`flatCore` flattens and the `hierTop` hierarchical index
+/// are built, and so are all their per-layer spatial indexes. The
+/// artifacts themselves would be safe to build on first use from any
+/// thread, but their spatial indexes are built lazily and are not, so
+/// prewarming is what lets concurrent viewport queries — flat or
+/// hierarchical — perform only const reads on shared chips. It also
+/// makes `CompiledChip::approxBytes` charge the flattens when the chip is
+/// inserted, so the cache budget sees them.
 
 #pragma once
 
@@ -64,10 +68,6 @@ struct ServiceOptions {
   unsigned threads = 0;
   /// Chip-cache byte budget (0 disables caching).
   std::size_t cacheBudgetBytes = 64ull << 20;
-  /// Prewarm flattens + spatial indexes before a chip enters the cache
-  /// (on for services sharing chips across threads; off saves the
-  /// prewarm cost in single-threaded embedding).
-  bool prewarmChips = true;
 };
 
 /// One compile request: a design (typed description, or source text to

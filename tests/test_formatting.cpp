@@ -279,6 +279,8 @@ TEST(LocaleIndependence, EveryFormatIgnoresTheGlobalLocale) {
   const core::CompiledChip& chip = sample(true);
   const std::map<std::string, std::string> classic = emitEveryFormat(chip);
   ASSERT_EQ(classic.size(), 11u);
+  const std::string stats = chip.statsText();
+  ASSERT_NE(stats.find(" 15780 flattened primitives"), std::string::npos) << stats;
 
   const std::locale hostile(std::locale::classic(), new CommaDecimal);
   {
@@ -292,6 +294,7 @@ TEST(LocaleIndependence, EveryFormatIgnoresTheGlobalLocale) {
     for (const auto& [name, bytes] : classic) {
       EXPECT_TRUE(hostileOut.at(name) == bytes) << name << " depends on the global locale";
     }
+    EXPECT_EQ(chip.statsText(), stats) << "statsText depends on the global locale";
     // A chip compiled under the hostile locale emits the same bytes too.
     auto fresh = core::compileChip(core::samples::largeChip(16, 8));
     ASSERT_TRUE(fresh) << fresh.diagnostics().toString();
@@ -299,6 +302,7 @@ TEST(LocaleIndependence, EveryFormatIgnoresTheGlobalLocale) {
     for (const auto& [name, bytes] : classic) {
       EXPECT_TRUE(freshOut.at(name) == bytes) << name << " differs after a hostile compile";
     }
+    EXPECT_EQ((*fresh)->statsText(), stats) << "statsText differs after a hostile compile";
   }
   EXPECT_EQ(std::locale().name(), std::locale::classic().name());
 }

@@ -7,7 +7,9 @@
 /// the `svc::CompileService` request path (content-addressed caching,
 /// single-flight dedup, option-fingerprint sensitivity, and viewport
 /// serving that never re-runs a compile stage on a warm cache), and the
-/// chip's lazily built core netlist shared by concurrent emits.
+/// chip's lazily built derived artifacts: the core netlist shared by
+/// concurrent emits, and the flattens and hierarchical index built once
+/// under concurrent first calls.
 
 #include "cell/hier_index.hpp"
 #include "core/digest.hpp"
@@ -722,6 +724,54 @@ TEST(CompileService, ConcurrentSpiceEmitsOnOneCachedChipAgree) {
   EXPECT_EQ(out[0].payload, freshCoreOutputs(*warm.chip).first);
   EXPECT_TRUE(warm.chip->coreNetlistBuilt());
   EXPECT_EQ(service.stats().compilesExecuted, 1u);
+}
+
+TEST(CompiledChip, ConcurrentFirstAccessBuildsEachArtifactOnce) {
+  // A freshly compiled chip, not prewarmed: several threads make the
+  // first flatTop/flatCore/hierTop calls at once, and every thread gets
+  // the same object from each accessor.
+  auto compiled = core::compileChip(core::samples::largeChip(16, 8));
+  ASSERT_TRUE(compiled) << compiled.diagnostics().toString();
+  const core::CompiledChip& chip = **compiled;
+  ASSERT_FALSE(chip.flatTopBuilt());
+  ASSERT_FALSE(chip.hierTopBuilt());
+
+  constexpr std::size_t kThreads = 4;
+  struct Seen {
+    const cell::FlatLayout* top = nullptr;
+    const cell::FlatLayout* core = nullptr;
+    const cell::HierIndex* hier = nullptr;
+  };
+  std::array<Seen, kThreads> seen{};
+  std::atomic<std::size_t> arrived{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      // Each thread starts with a different accessor, so first calls of
+      // all three overlap.
+      for (std::size_t k = 0; k < 3; ++k) {
+        switch ((t + k) % 3) {
+          case 0: seen[t].top = &chip.flatTop(); break;
+          case 1: seen[t].core = &chip.flatCore(); break;
+          default: seen[t].hier = &chip.hierTop(); break;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (const Seen& s : seen) {
+    EXPECT_EQ(s.top, seen[0].top);
+    EXPECT_EQ(s.core, seen[0].core);
+    EXPECT_EQ(s.hier, seen[0].hier);
+  }
+  EXPECT_TRUE(chip.flatTopBuilt());
+  EXPECT_TRUE(chip.hierTopBuilt());
+  EXPECT_EQ(seen[0].top->totalCount(), chip.stats.shapeCount);
+  EXPECT_EQ(seen[0].core->totalCount(), cell::flatten(*chip.core).totalCount());
+  EXPECT_EQ(seen[0].hier->flatCount(), chip.stats.shapeCount);
 }
 
 // ------------------------------------------------ hierarchical viewport

@@ -1,7 +1,7 @@
 /// Tests for the staged pipeline API: stage ordering and individual
 /// runnability, observer invocations, error propagation when a stage
-/// fails, the fluent options builder, the emitter registry round-trip,
-/// and the concurrent BatchCompiler.
+/// fails, finalize's shape count, the fluent options builder, the
+/// emitter registry round-trip, and the concurrent BatchCompiler.
 
 #include "core/batch.hpp"
 #include "core/samples.hpp"
@@ -159,6 +159,27 @@ TEST(Session, FromParsedDescription) {
   auto result = session.run();
   ASSERT_TRUE(result) << result.diagnostics().toString();
   EXPECT_EQ((*result)->desc.name, "small");
+}
+
+TEST(Session, FinalizeCountsShapesWithoutFlattening) {
+  const std::vector<icl::ChipDesc> samples = {
+      core::samples::smallChip(4), core::samples::largeChip(16, 8),
+      core::samples::prototypeChip(), core::samples::segmentedChip(8)};
+  for (const icl::ChipDesc& desc : samples) {
+    for (const bool proto : {false, true}) {
+      SCOPED_TRACE(desc.name + (proto ? " PROTOTYPE" : ""));
+      auto chip = core::compileChip(desc, core::CompileOptions::builder()
+                                              .var("PROTOTYPE", proto)
+                                              .build());
+      ASSERT_TRUE(chip) << chip.diagnostics().toString();
+      const core::CompiledChip& c = **chip;
+      EXPECT_FALSE(c.flatTopBuilt());  // a compile builds no derived artwork
+      EXPECT_FALSE(c.hierTopBuilt());
+      EXPECT_EQ(c.stats.shapeCount, c.flatTop().totalCount());  // flatCount(*top)
+      EXPECT_TRUE(c.flatTopBuilt());
+      EXPECT_EQ(cell::flatCount(*c.core), c.flatCore().totalCount());
+    }
+  }
 }
 
 TEST(Session, OptionsBuilderSetsEveryKnob) {
