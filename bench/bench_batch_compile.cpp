@@ -8,17 +8,16 @@
 /// "no speedup", which is itself the interesting datum).
 ///
 /// A second table runs the *mixed-size* workload (many small chips plus
-/// a few large ones, every job DRC-checked) through the pipelined
-/// scheduler against the whole-job reference. The interesting number is
-/// the p99 of per-job sojourn time (`BatchResult::finishedAfter`):
-/// whole-job scheduling lets small chips queue behind stragglers, while
-/// the pipelined scheduler interleaves stages and fans the last big
-/// chips' DRC out over the idle tail.
+/// a few large ones, every job DRC-checked at `DrcOptions::threads = 0`,
+/// so the last big chips' rule units spread over the idle tail). The
+/// interesting number is the p99 of per-job sojourn time
+/// (`BatchResult::finishedAfter`): small chips that queue behind
+/// stragglers show up there.
 ///
 /// Env knobs: BB_BENCH_SMOKE=1 caps the job mix for CI (and skips the
 /// google-benchmark timings). Perf rows land in BENCH.json as
 /// `batch_src_t{N}` / `batch_desc_t{N}` plus `batch_mixed_t{N}` /
-/// `batch_mixed_p99_t{N}` / `batch_mixed_whole_p99_t{N}`.
+/// `batch_mixed_p99_t{N}`.
 
 #include "bench_util.hpp"
 
@@ -128,13 +127,10 @@ struct MixedRun {
   double p99 = 0;  ///< p99 of per-job sojourn (finishedAfter), seconds
 };
 
-MixedRun runMixed(const std::vector<icl::ChipDesc>& descs, unsigned threads,
-                  core::BatchCompiler::Mode mode) {
-  core::BatchCompiler batch({}, threads, mode);
+MixedRun runMixed(const std::vector<icl::ChipDesc>& descs, unsigned threads) {
+  core::BatchCompiler batch({}, threads);
   drc::DrcOptions dopts;
-  if (mode == core::BatchCompiler::Mode::WholeJob) {
-    dopts.threads = 1;  // the pre-pool reference: serial DRC per job
-  }
+  dopts.threads = 0;  // stragglers' rule units spread over idle workers
   batch.withDrc(tech::meadConwayRules(), dopts);
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -158,28 +154,20 @@ void printMixedTable(bool smoke) {
 
   std::printf("== BATCH MIXED: small+large jobs with DRC, sojourn p99 (%lld jobs) ==\n",
               jobs);
-  std::printf("%-30s %10s %12s %12s\n", "configuration", "seconds", "p99 ms",
-              "p99 gain");
+  std::printf("%-30s %10s %12s\n", "configuration", "seconds", "p99 ms");
   for (const unsigned threads : {4u, 8u}) {
-    const MixedRun whole =
-        runMixed(descs, threads, core::BatchCompiler::Mode::WholeJob);
-    const MixedRun piped =
-        runMixed(descs, threads, core::BatchCompiler::Mode::Pipelined);
-    std::printf("whole-job,  %2u lanes          %10.3f %12.2f %11s\n", threads,
-                whole.totalSeconds, whole.p99 * 1e3, "--");
-    std::printf("pipelined,  %2u lanes          %10.3f %12.2f %11.2fx\n", threads,
-                piped.totalSeconds, piped.p99 * 1e3, whole.p99 / piped.p99);
+    const MixedRun run = runMixed(descs, threads);
+    std::printf("batch,      %2u lanes          %10.3f %12.2f\n", threads,
+                run.totalSeconds, run.p99 * 1e3);
     bench::BenchJson::instance().recordRun("batch_mixed_t" + std::to_string(threads),
-                                           jobs, piped.totalSeconds);
+                                           jobs, run.totalSeconds);
     // p99 rows: one "op" is one job's p99 sojourn; throughput is not
     // meaningful for a percentile, so items_per_sec is recorded as 0.
     bench::BenchJson::instance().record(
-        "batch_mixed_p99_t" + std::to_string(threads), jobs, piped.p99 * 1e9, 0);
-    bench::BenchJson::instance().record(
-        "batch_mixed_whole_p99_t" + std::to_string(threads), jobs, whole.p99 * 1e9, 0);
+        "batch_mixed_p99_t" + std::to_string(threads), jobs, run.p99 * 1e9, 0);
   }
-  std::printf("(whole-job runs DRC serially per job; pipelined fans the tail "
-              "stragglers' rule units out over idle workers)\n\n");
+  std::printf("(DRC at threads=0: the tail stragglers' rule units fan out over "
+              "idle workers)\n\n");
 }
 
 void BM_SequentialCompile(benchmark::State& state) {

@@ -179,7 +179,7 @@ void printTable(bool smoke) {
     const std::vector<std::uint8_t> gdsFlat = layout::writeGds(flat, {}, {});
     const double emitFlatS = secondsSince(t0);
     t0 = std::chrono::steady_clock::now();
-    const std::string cifHier = layout::writeCifHier(*top);
+    const std::string cifHier = layout::writeCif(*top);
     const std::vector<std::uint8_t> gdsHier = layout::writeGdsHier(*top);
     const double emitHierS = secondsSince(t0);
 

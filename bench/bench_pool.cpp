@@ -93,7 +93,7 @@ void printTable(bool smoke) {
   const double nsPool = tPool * 1e9 / static_cast<double>(calls);
 
   // Nested fan-out: an outer loop whose every job runs an inner loop on
-  // the same pool — the pipelined-batch x DRC shape.
+  // the same pool — the batch x DRC shape.
   constexpr std::size_t kOuter = 8;
   const auto nestedCall = [&pool] {
     std::atomic<std::uint64_t> sum{0};

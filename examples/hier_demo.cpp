@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
 
   // 4. Hierarchical mask emission: symbol calls + AREF vs flat copies.
   const std::string cifFlat = bb::layout::writeCif(flat, bb::layout::ViewOptions{});
-  const std::string cifHier = bb::layout::writeCifHier(*array);
+  const std::string cifHier = bb::layout::writeCif(*array);
   const auto gdsFlat = bb::layout::writeGds(flat, bb::layout::ViewOptions{});
   const auto gdsHier = bb::layout::writeGdsHier(*array);
   const bb::layout::GdsStats gs = bb::layout::gdsStats(gdsHier);

@@ -12,10 +12,10 @@
 ///   3. viewport serving — pan/zoom windows of the mask set stream
 ///      through the tile-based layout::View path straight off the
 ///      cached chip (a map-server for the die),
-///   4. pipelined batch — `compileAll` decomposes a mixed batch into
-///      per-stage tasks on the process-wide `core::ThreadPool`
-///      (cache/dedup included), so one request's parse overlaps
-///      another's passes and the warm server never spawns a thread,
+///   4. batch — `compileAll` answers cached requests, compiles each
+///      new design once as one whole job on the process-wide
+///      `core::ThreadPool`, and hands duplicates in the batch the same
+///      chip; the warm server never spawns a thread,
 ///   5. incremental recompilation — a CompileSession with memoization
 ///      re-runs only the stages downstream of an option edit,
 ///   6. service, cache and scheduler-pool statistics.
@@ -87,9 +87,9 @@ int main() {
                 tile.payload.size(), static_cast<double>(tile.latency.count()) / 1e6);
   }
 
-  // -- pipelined batch -----------------------------------------------------
-  // A mixed batch through compileAll: stages interleave across requests
-  // on the shared thread pool, and anything already cached (or duplicated
+  // -- batch ---------------------------------------------------------------
+  // A mixed batch through compileAll: new designs compile concurrently on
+  // the shared thread pool, and anything already cached (or duplicated
   // within the batch) is served without recompiling.
   std::vector<bb::svc::CompileRequest> batch;
   batch.push_back(bb::svc::CompileRequest::ofDesc(small));  // warm: cache hit
@@ -97,7 +97,7 @@ int main() {
   batch.push_back(bb::svc::CompileRequest::ofDesc(bb::core::samples::smallChip(6)));
   batch.push_back(bb::svc::CompileRequest::ofDesc(bb::core::samples::smallChip(6)));
   const auto batched = service.compileAll(batch);
-  std::printf("\npipelined batch (%zu requests):\n", batched.size());
+  std::printf("\nbatch (%zu requests):\n", batched.size());
   for (std::size_t i = 0; i < batched.size(); ++i) {
     showCompile(batched[i].chip ? batched[i].chip->desc.name.c_str() : "(failed)",
                 batched[i]);

@@ -1,11 +1,6 @@
 #include "core/batch.hpp"
 
 #include "core/pool.hpp"
-#include "core/workqueue.hpp"
-
-#include <algorithm>
-#include <atomic>
-#include <memory>
 
 namespace bb::core {
 
@@ -13,99 +8,18 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Resolve a job's report name exactly like the original scheduler did.
+/// A job's report name: its own label, else the compiled chip's name.
 std::string resolveName(BatchJob& job, const BatchResult& res, std::size_t i) {
   if (!job.name.empty()) return std::move(job.name);
   if (res.chip != nullptr) return res.chip->desc.name;
   return "<job " + std::to_string(i) + ">";
 }
 
-/// The pipelined batch: shared by every stage task of one compileAll
-/// call. Lives on the caller's stack — `compileAll` does not return
-/// until `group.wait()` has retired every task, so references into it
-/// are safe to capture.
-struct Pipeline {
-  std::vector<BatchJob>& jobs;
-  std::vector<BatchResult>& results;
-  const drc::DeckChecker* checker;  ///< null = no DRC stage
-  TaskGroup group;
-  Clock::time_point batchStart = Clock::now();
-  std::vector<std::unique_ptr<CompileSession>> sessions;
-  std::vector<Clock::time_point> jobStart;
-  unsigned width;                       ///< admission lanes
-  std::atomic<std::size_t> nextJob{0};  ///< admission cursor
-  std::atomic<std::size_t> completed{0};
-
-  Pipeline(std::vector<BatchJob>& jobs, std::vector<BatchResult>& results,
-           const drc::DeckChecker* checker, unsigned width)
-      : jobs(jobs), results(results), checker(checker),
-        sessions(jobs.size()), jobStart(jobs.size()), width(width) {}
-
-  /// Claim the next unadmitted job (if any) and submit its first stage.
-  void admit() {
-    const std::size_t i = nextJob.fetch_add(1, std::memory_order_relaxed);
-    if (i >= jobs.size()) return;
-    group.run([this, i] { start(i); });
-  }
-
-  void start(std::size_t i) {
-    jobStart[i] = Clock::now();
-    BatchJob& job = jobs[i];
-    sessions[i] = job.desc.has_value()
-                      ? std::make_unique<CompileSession>(std::move(*job.desc),
-                                                         std::move(job.opts))
-                      : std::make_unique<CompileSession>(std::move(job.source),
-                                                         std::move(job.opts));
-    step(i);
-  }
-
-  /// Run exactly one pipeline stage, then yield the lane: the follow-up
-  /// task goes to the back of the queue, so another job's stage can
-  /// interleave — this is what lets a small chip stream past a large
-  /// one instead of waiting for a whole-job slot.
-  void step(std::size_t i) {
-    CompileSession& s = *sessions[i];
-    s.runNext();
-    if (!s.failed() && !s.finished()) {
-      group.run([this, i] { step(i); });
-      return;
-    }
-    finish(i);
-  }
-
-  void finish(std::size_t i) {
-    CompileSession& s = *sessions[i];
-    BatchResult& res = results[i];
-    res.diags = s.diagnostics();
-    if (s.finished()) res.chip = s.takeChip();
-    res.name = resolveName(jobs[i], res, i);
-    if (checker != nullptr && res.chip != nullptr) {
-      // Tail fan-out: while the batch still has at least a lane's worth
-      // of jobs in flight, each job checks its rules serially on its own
-      // task (job-level parallelism already fills the pool). Once fewer
-      // jobs remain than the batch is wide, workers are going idle — so
-      // the stragglers' rule units fan out across the full pool instead.
-      const std::size_t remaining =
-          jobs.size() - completed.load(std::memory_order_relaxed);
-      const unsigned drcWidth = remaining < width ? 0u : 1u;
-      res.drc = checker->check(res.chip->flatTop(), res.chip->top->boundary(),
-                               drcWidth);
-    }
-    const Clock::time_point now = Clock::now();
-    res.elapsed = now - jobStart[i];
-    res.finishedAfter = now - batchStart;
-    sessions[i].reset();
-    completed.fetch_add(1, std::memory_order_relaxed);
-    admit();  // keep the lane busy
-  }
-};
-
 }  // namespace
 
-BatchCompiler::BatchCompiler(CompileOptions defaults, unsigned threads, Mode mode)
+BatchCompiler::BatchCompiler(CompileOptions defaults, unsigned threads)
     : defaults_(std::move(defaults)),
-      threads_(threads != 0 ? threads : ThreadPool::global().workerCount() + 1),
-      mode_(mode) {}
+      threads_(threads != 0 ? threads : ThreadPool::global().workerCount() + 1) {}
 
 BatchCompiler& BatchCompiler::withDrc(const tech::RuleDeck& deck, drc::DrcOptions opts) {
   drcDeck_ = &deck;
@@ -114,58 +28,36 @@ BatchCompiler& BatchCompiler::withDrc(const tech::RuleDeck& deck, drc::DrcOption
 }
 
 std::vector<BatchResult> BatchCompiler::compileAll(std::vector<BatchJob> jobs) const {
-  return mode_ == Mode::Pipelined ? compilePipelined(std::move(jobs))
-                                  : compileWholeJob(std::move(jobs));
-}
-
-std::vector<BatchResult> BatchCompiler::compilePipelined(std::vector<BatchJob> jobs) const {
   std::vector<BatchResult> results(jobs.size());
-  if (jobs.empty()) return results;
 
   // One DeckChecker for the whole batch: the per-deck rule-unit plan is
   // shared by every job instead of being rebuilt per chip.
   std::optional<drc::DeckChecker> checker;
   if (drcDeck_ != nullptr) checker.emplace(*drcDeck_, drcOpts_);
 
-  ThreadPool& pool = ThreadPool::global();
-  const unsigned width = std::min(threads_, pool.workerCount() + 1);
-
-  Pipeline p(jobs, results, checker ? &*checker : nullptr, width);
-  // Seed one admission per lane; every completion admits a successor, so
-  // at most `width` jobs are in flight at once while stages interleave
-  // freely across them.
-  const std::size_t lanes = std::min<std::size_t>(width, jobs.size());
-  for (std::size_t l = 0; l < lanes; ++l) p.admit();
-  p.group.wait();  // the caller participates as a lane worker
-  return results;
-}
-
-std::vector<BatchResult> BatchCompiler::compileWholeJob(std::vector<BatchJob> jobs) const {
-  std::vector<BatchResult> results(jobs.size());
-
-  std::optional<drc::DeckChecker> checker;
-  if (drcDeck_ != nullptr) checker.emplace(*drcDeck_, drcOpts_);
-
   const Clock::time_point batchStart = Clock::now();
-  runWorkQueue(jobs.size(), threads_, [&](std::size_t i) {
-    BatchJob& job = jobs[i];
-    BatchResult& res = results[i];
-    const Clock::time_point t0 = Clock::now();
-    CompileSession session =
-        job.desc.has_value()
-            ? CompileSession(std::move(*job.desc), std::move(job.opts))
-            : CompileSession(std::move(job.source), std::move(job.opts));
-    auto outcome = session.run();
-    res.diags = outcome.diagnostics();
-    if (outcome) res.chip = std::move(*outcome);
-    res.name = resolveName(job, res, i);
-    if (checker && res.chip != nullptr) {
-      res.drc = checker->check(res.chip->flatTop(), res.chip->top->boundary());
-    }
-    const Clock::time_point now = Clock::now();
-    res.elapsed = now - t0;
-    res.finishedAfter = now - batchStart;
-  });
+  ThreadPool::global().parallelFor(
+      jobs.size(), 1,
+      [&](std::size_t i) {
+        BatchJob& job = jobs[i];
+        BatchResult& res = results[i];
+        const Clock::time_point t0 = Clock::now();
+        CompileSession session =
+            job.desc.has_value()
+                ? CompileSession(std::move(*job.desc), std::move(job.opts))
+                : CompileSession(std::move(job.source), std::move(job.opts));
+        auto outcome = session.run();
+        res.diags = outcome.diagnostics();
+        if (outcome) res.chip = std::move(*outcome);
+        res.name = resolveName(job, res, i);
+        if (checker && res.chip != nullptr) {
+          res.drc = checker->check(res.chip->flatTop(), res.chip->top->boundary());
+        }
+        const Clock::time_point now = Clock::now();
+        res.elapsed = now - t0;
+        res.finishedAfter = now - batchStart;
+      },
+      threads_);
   return results;
 }
 

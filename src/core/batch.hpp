@@ -2,21 +2,15 @@
 /// High-throughput compilation: run many chip descriptions through the
 /// staged pipeline concurrently on the process-shared `core::ThreadPool`.
 ///
-/// The default `Mode::Pipelined` scheduler is *stage-granular*: each job
-/// is decomposed into its `CompileSession` stages and every stage is one
-/// pool task, so one chip's parse overlaps another chip's pass2 instead
-/// of each worker being pinned to a whole job. That keeps a mixed batch
-/// (many small chips plus a few large ones) from hiding behind its
-/// stragglers: small jobs stream through the lanes the moment a big
-/// job's stage yields. `Mode::WholeJob` keeps the old one-task-per-job
-/// schedule, mainly as the unpipelined reference for the benches.
-///
-/// `withDrc()` appends a design-rule-check stage to every job. The
-/// batch builds ONE `drc::DeckChecker` for the shared rule deck (the
-/// per-deck rule-unit plan is paid once, not per chip), and at the tail
-/// of the batch — once fewer jobs remain than the batch is wide — each
-/// straggler's rule units automatically fan out across the now-idle
-/// workers, so the last big chip doesn't finish on a single thread.
+/// Each job is one index of one `parallelFor`: the whole `CompileSession`
+/// and then, with `withDrc()`, the design-rule check, on one pool
+/// thread. The batch builds ONE `drc::DeckChecker` for the shared rule
+/// deck (the per-deck rule-unit plan is paid once, not per chip) and
+/// checks at its bound `DrcOptions::threads`. At `threads = 0` each
+/// check is a nested `parallelFor`: its rule units run inline while the
+/// batch keeps every worker busy, and spread over the idle workers once
+/// fewer jobs remain than the batch is wide, so the last big chip does
+/// not finish its DRC on a single thread.
 
 #pragma once
 
@@ -50,10 +44,9 @@ struct BatchResult {
   std::string name;
   CompiledChipPtr chip;  ///< null when the compile failed
   icl::DiagnosticList diags;
-  std::chrono::nanoseconds elapsed{};  ///< this job's admission-to-done time
-  /// Sojourn time: from `compileAll` entry to this job's completion.
-  /// The distribution of these (in particular its p99) is what the
-  /// pipelined scheduler improves on mixed-size batches.
+  std::chrono::nanoseconds elapsed{};  ///< this job's start-to-done time
+  /// Sojourn time: from `compileAll` entry to this job's completion
+  /// (its queueing behind earlier jobs plus `elapsed`).
   std::chrono::nanoseconds finishedAfter{};
   /// Filled when the batch was configured with `withDrc()` and the job
   /// compiled; absent otherwise.
@@ -64,25 +57,18 @@ struct BatchResult {
 
 class BatchCompiler {
  public:
-  enum class Mode {
-    Pipelined,  ///< stage-granular tasks, jobs interleave (default)
-    WholeJob,   ///< one task per job, the pre-pool reference schedule
-  };
-
   /// `threads` is a width limit on the process-shared pool — a budget,
   /// not a spawn count; 0 picks the full pool width (workers + caller).
   /// Jobs that themselves go parallel (threaded DRC, nested
   /// parallelFor) draw from the same budget, so batch x DRC nesting
   /// never oversubscribes the machine.
-  explicit BatchCompiler(CompileOptions defaults = {}, unsigned threads = 0,
-                         Mode mode = Mode::Pipelined);
+  explicit BatchCompiler(CompileOptions defaults = {}, unsigned threads = 0);
 
-  /// Append a DRC stage to every job, checking against `deck` (which
-  /// must outlive the compiler). One `drc::DeckChecker` is shared by
-  /// the whole batch. In `Mode::Pipelined`, `opts.threads` is
-  /// overridden per job by the tail fan-out policy (serial while the
-  /// batch is full, full width for the stragglers); `Mode::WholeJob`
-  /// uses `opts.threads` as given.
+  /// Check every compiled chip against `deck` (which must outlive the
+  /// compiler) after its compile, on the same pool thread. One
+  /// `drc::DeckChecker` is shared by the whole batch and checks at
+  /// `opts.threads` (0 lets the last jobs' rule units spread over idle
+  /// workers; see the file comment).
   BatchCompiler& withDrc(const tech::RuleDeck& deck, drc::DrcOptions opts = {});
 
   /// Compile every job; results come back in job order. A failed job
@@ -99,17 +85,12 @@ class BatchCompiler {
       std::vector<icl::ChipDesc> descs) const;
 
   [[nodiscard]] unsigned threads() const noexcept { return threads_; }
-  [[nodiscard]] Mode mode() const noexcept { return mode_; }
   [[nodiscard]] const CompileOptions& defaults() const noexcept { return defaults_; }
 
  private:
-  [[nodiscard]] std::vector<BatchResult> compilePipelined(std::vector<BatchJob> jobs) const;
-  [[nodiscard]] std::vector<BatchResult> compileWholeJob(std::vector<BatchJob> jobs) const;
-
   CompileOptions defaults_;
   unsigned threads_;
-  Mode mode_;
-  const tech::RuleDeck* drcDeck_ = nullptr;  ///< non-owning; null = no DRC stage
+  const tech::RuleDeck* drcDeck_ = nullptr;  ///< non-owning; null = no DRC
   drc::DrcOptions drcOpts_;
 };
 

@@ -103,46 +103,10 @@ void ThreadPool::workerLoop() {
       queue_.pop_front();
     }
     tasksExecuted_.fetch_add(1, std::memory_order_relaxed);
-    // Tasks never throw: parallelFor slices and TaskGroup wrappers catch
-    // at the submission layer and surface the exception on the waiter.
+    // Tasks never throw: parallelFor slices catch at the submission
+    // layer and surface the exception on the waiter.
     task();
   }
-}
-
-TaskGroup::TaskGroup(ThreadPool& pool)
-    : pool_(&pool), st_(std::make_shared<ThreadPool::ForState>()) {}
-
-TaskGroup::~TaskGroup() { pool_->drainUntil(*st_); }
-
-void TaskGroup::run(std::function<void()> task) {
-  {
-    const std::lock_guard<std::mutex> lk(st_->mu);
-    ++st_->pending;
-  }
-  pool_->enqueue([st = st_, task = std::move(task)]() mutable {
-    try {
-      task();
-    } catch (...) {
-      const std::lock_guard<std::mutex> lk(st->mu);
-      if (!st->first) st->first = std::current_exception();
-    }
-    {
-      const std::lock_guard<std::mutex> lk(st->mu);
-      --st->pending;
-    }
-    st->cv.notify_all();
-  });
-}
-
-void TaskGroup::wait() {
-  pool_->drainUntil(*st_);
-  std::exception_ptr first;
-  {
-    const std::lock_guard<std::mutex> lk(st_->mu);
-    first = st_->first;
-    st_->first = nullptr;
-  }
-  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace bb::core

@@ -1,18 +1,18 @@
 /// \file pool.hpp
 /// The persistent thread-pool scheduler. Every parallel site in the
-/// compiler used to spawn and join fresh `std::thread`s per call
-/// (`core::runWorkQueue`); under the compile service's sustained load
-/// that is thread-creation thrash on the hot path, and nested parallel
-/// calls (a service batch whose jobs each run threaded DRC) silently
-/// oversubscribed the machine. A `ThreadPool` owns one set of
-/// long-lived workers and schedules everything through a blocking task
-/// queue instead:
+/// compiler used to spawn and join fresh `std::thread`s per call; under
+/// the compile service's sustained load that is thread-creation thrash
+/// on the hot path, and nested parallel calls (a batch whose jobs each
+/// run threaded DRC) silently oversubscribed the machine. A
+/// `ThreadPool` owns one set of long-lived workers and schedules
+/// everything through a blocking task queue instead:
 ///
-///  * `ThreadPool::global()` is the process-shared pool every
-///    `runWorkQueue` call site now lands on — one thread budget for
-///    batch compilation, DRC rule groups and parallel tile emission.
-///    Ownable instances exist for tests and embedders who want an
-///    isolated budget.
+///  * `ThreadPool::global()` is the process-shared pool every parallel
+///    site lands on — one thread budget for batch compilation (both
+///    `core::BatchCompiler` and `svc::CompileService::compileAll` run
+///    one whole job per index of one `parallelFor`), DRC rule groups,
+///    lint rules and parallel tile emission. Ownable instances exist
+///    for tests and embedders who want an isolated budget.
 ///  * Workers are started lazily on the first submitted task, so a
 ///    process that never goes parallel never pays for a single spawn.
 ///  * `parallelFor(jobs, grain, fn)` chunks the index space and the
@@ -29,12 +29,9 @@
 ///    thread; when other workers are idle (the tail of a batch) they
 ///    pick the helper chunks up, which is how intra-chip DRC fan-out
 ///    kicks in automatically once fewer jobs remain than workers.
-///
-/// `TaskGroup` is the task-granular face of the same scheduler: submit
-/// any number of tasks (tasks may submit follow-up tasks — that is how
-/// the pipelined `BatchCompiler` chains one compile stage after
-/// another), then `wait()`, which also executes queued tasks on the
-/// calling thread instead of idling.
+///    A waiting caller help-runs *any* queued task, so a task must
+///    never block on something only another thread can release (see
+///    the no-claim-waits rule in `svc/service.hpp`).
 
 #pragma once
 
@@ -52,8 +49,6 @@
 
 namespace bb::core {
 
-class TaskGroup;
-
 class ThreadPool {
  public:
   /// `workers` = number of background worker threads; 0 picks
@@ -69,8 +64,7 @@ class ThreadPool {
 
   /// The process-shared pool. Lazily constructed, workers lazily
   /// started; lives until process exit. This is the one thread budget
-  /// every `runWorkQueue` shim call, batch compile, DRC fan-out and
-  /// parallel tile emission shares — `ServiceOptions::threads` and
+  /// every batch compile, DRC fan-out and parallel tile emission shares — `ServiceOptions::threads` and
   /// `DrcOptions::threads` are width limits on it, not thread counts,
   /// so nesting them can never multiply threads.
   [[nodiscard]] static ThreadPool& global();
@@ -79,8 +73,8 @@ class ThreadPool {
   /// True when the calling thread is one of this pool's workers.
   [[nodiscard]] bool insideWorker() const noexcept;
 
-  /// Total tasks executed (helper chunks and group tasks, by workers and
-  /// by participating callers). Monotonic; a warm serving path that
+  /// Total tasks executed (helper chunks, by workers and by
+  /// participating callers). Monotonic; a warm serving path that
   /// stays flat here provably scheduled nothing.
   [[nodiscard]] std::uint64_t tasksExecuted() const noexcept {
     return tasksExecuted_.load(std::memory_order_relaxed);
@@ -160,11 +154,9 @@ class ThreadPool {
   bool tryRunOneTask();
 
  private:
-  friend class TaskGroup;
-
-  /// Completion state shared by a parallelFor call or a TaskGroup:
-  /// outstanding task count, first captured exception, and the cursor
-  /// chunked loops claim slices from.
+  /// Completion state of one parallelFor call: outstanding helper
+  /// count, first captured exception, and the cursor chunks are
+  /// claimed from.
   struct ForState {
     std::atomic<std::size_t> cursor{0};
     std::atomic<bool> bailed{false};
@@ -187,34 +179,6 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   bool started_ = false;  ///< guarded by qmu_
   bool stop_ = false;     ///< guarded by qmu_
-};
-
-/// A set of tasks on a pool, waited on together. Tasks may submit
-/// follow-up tasks into their own group (the pipelined batch chains
-/// compile stages this way); `wait()` participates in execution and
-/// rethrows the first exception any task threw. Reusable after wait().
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool& pool = ThreadPool::global());
-  /// Waits for outstanding tasks (exceptions swallowed — call wait()
-  /// yourself to observe them).
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Submit one task. Thread-safe; callable from inside a group task.
-  void run(std::function<void()> task);
-  /// Block until every submitted task (including follow-ups) finished,
-  /// executing queued tasks on this thread meanwhile. Rethrows the
-  /// first captured exception.
-  void wait();
-
-  [[nodiscard]] ThreadPool& pool() const noexcept { return *pool_; }
-
- private:
-  ThreadPool* pool_;
-  std::shared_ptr<ThreadPool::ForState> st_;
 };
 
 }  // namespace bb::core

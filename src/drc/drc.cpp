@@ -1,6 +1,6 @@
 #include "drc/drc.hpp"
 
-#include "core/workqueue.hpp"
+#include "core/pool.hpp"
 #include "geom/poly.hpp"
 #include "geom/segment_index.hpp"
 #include "geom/sweep.hpp"
@@ -650,7 +650,7 @@ DrcReport DeckChecker::check(const cell::FlatLayout& flat, const geom::Rect& bou
 }
 
 DrcReport DeckChecker::check(const cell::FlatLayout& flat, const geom::Rect& boundary,
-                             unsigned threadsOverride) const {
+                             unsigned threads) const {
   DrcReport rep;
   rep.shapesChecked = flat.totalCount();
 
@@ -681,11 +681,11 @@ DrcReport DeckChecker::check(const cell::FlatLayout& flat, const geom::Rect& bou
   };
 
   std::vector<std::vector<Violation>> found(units_.size());
-  if (threadsOverride != 1 && units_.size() > 1) {
+  if (threads != 1 && units_.size() > 1) {
     // Lazy index building is not thread-safe; prewarm before fanning out.
     if (opts_.useSpatialIndex) flat.buildIndexes();
-    core::runWorkQueue(units_.size(), threadsOverride,
-                       [&](std::size_t i) { runUnit(units_[i], found[i]); });
+    core::ThreadPool::global().parallelFor(
+        units_.size(), 1, [&](std::size_t i) { runUnit(units_[i], found[i]); }, threads);
   } else {
     for (std::size_t i = 0; i < units_.size(); ++i) runUnit(units_[i], found[i]);
   }
@@ -697,11 +697,6 @@ DrcReport DeckChecker::check(const cell::FlatLayout& flat, const geom::Rect& bou
 }
 
 DrcReport DeckChecker::checkHier(const cell::HierIndex& hier) const {
-  return checkHier(hier, opts_.threads);
-}
-
-DrcReport DeckChecker::checkHier(const cell::HierIndex& hier,
-                                 unsigned threadsOverride) const {
   DrcReport rep;
   rep.shapesChecked = hier.flatCount();
   const geom::Rect boundary = hier.top().boundary();
@@ -751,11 +746,11 @@ DrcReport DeckChecker::checkHier(const cell::HierIndex& hier,
     }
   };
   const std::size_t total = NU + 1 + pairs.size();
-  if (threadsOverride != 1 && total > 1) {
+  if (opts_.threads != 1 && total > 1) {
     // Pair jobs lazily query shared unit/residual indexes; prewarm so the
     // fan-out only performs const reads.
     hier.buildIndexes();
-    core::runWorkQueue(total, threadsOverride, runJob);
+    core::ThreadPool::global().parallelFor(total, 1, runJob, opts_.threads);
   } else {
     for (std::size_t k = 0; k < total; ++k) runJob(k);
   }

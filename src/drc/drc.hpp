@@ -48,10 +48,9 @@ struct DrcOptions {
   /// spacing rule, the transistor and contact groups) on the shared
   /// persistent pool (`core::ThreadPool::global()`). 1 = serial, 0 =
   /// full pool width. This is a *budget on one process-wide pool*, not
-  /// a thread count: a 4-wide service batch whose jobs each run DRC
-  /// with threads=0 still uses one pool — nesting never multiplies
-  /// threads the way the spawn-per-call scheduler did. Violations keep
-  /// deck order regardless of width.
+  /// a thread count: a 4-wide batch whose jobs each run DRC with
+  /// threads=0 still uses one pool — nesting never multiplies threads.
+  /// Violations keep deck order regardless of width.
   unsigned threads = 1;
 };
 
@@ -67,23 +66,20 @@ struct DrcReport {
 /// rule and per spacing rule, plus the transistor and contact groups —
 /// is resolved once at construction and shared by every `check()` call.
 /// This is the per-deck setup a batch of jobs compiling under the same
-/// `tech::RuleDeck` pays once instead of per chip (`BatchCompiler`'s
-/// DRC stage holds exactly one of these). The deck must outlive the
+/// `tech::RuleDeck` pays once instead of per chip (a `BatchCompiler`
+/// with `withDrc` holds exactly one per batch). The deck must outlive the
 /// checker; `check()` is const and safe to call concurrently for
 /// distinct layouts.
 class DeckChecker {
  public:
   explicit DeckChecker(const tech::RuleDeck& deck, DrcOptions opts = {});
 
-  /// Check pre-flattened artwork with an explicit abutment boundary.
-  /// `threadsOverride` replaces the bound options' width for that call
-  /// only (same shape as `DrcOptions::threads`: 1 = serial, 0 = full
-  /// pool width) — the batch tail uses it to fan a straggler chip's
-  /// rule groups out over idle pool workers.
+  /// Check pre-flattened artwork with an explicit abutment boundary, at
+  /// the bound `DrcOptions::threads` width. Called from inside a pool
+  /// task at width 0 (a batch job), the rule units run inline while the
+  /// pool is busy and spread over idle workers once it drains.
   [[nodiscard]] DrcReport check(const cell::FlatLayout& flat,
                                 const geom::Rect& boundary) const;
-  [[nodiscard]] DrcReport check(const cell::FlatLayout& flat, const geom::Rect& boundary,
-                                unsigned threadsOverride) const;
 
   /// Hierarchy-aware check: each unique cell's interior is checked ONCE
   /// (against its own abutment boundary — the paper's per-cell DRC) and
@@ -103,8 +99,6 @@ class DeckChecker {
   /// order), then the residual, then interaction pairs; compare as sets
   /// against the flat reference.
   [[nodiscard]] DrcReport checkHier(const cell::HierIndex& hier) const;
-  [[nodiscard]] DrcReport checkHier(const cell::HierIndex& hier,
-                                    unsigned threadsOverride) const;
 
   [[nodiscard]] const tech::RuleDeck& deck() const noexcept { return *deck_; }
   [[nodiscard]] const DrcOptions& options() const noexcept { return opts_; }
@@ -122,6 +116,11 @@ class DeckChecker {
     Kind kind;
     std::size_t index = 0;  ///< rule index within its deck family
   };
+
+  /// `check` at an explicit width (same shape as `DrcOptions::threads`);
+  /// `checkHier` runs its per-unit interiors serially through it.
+  [[nodiscard]] DrcReport check(const cell::FlatLayout& flat, const geom::Rect& boundary,
+                                unsigned threads) const;
 
   const tech::RuleDeck* deck_;
   DrcOptions opts_;

@@ -102,8 +102,6 @@ std::string writeCif(const Cell& top, const CifOptions& opts) {
   return os.take();
 }
 
-std::string writeCifHier(const Cell& top, const CifOptions& opts) { return writeCif(top, opts); }
-
 std::string writeCif(const View& v, const CifOptions& opts) {
   geom::TextBuffer os;
   if (opts.comments) {

@@ -27,20 +27,14 @@ struct CifOptions {
   bool comments = true;
 };
 
-/// Write `top` and its whole hierarchy as a CIF file ending in `E`.
+/// Write `top` and its whole hierarchy as a CIF file ending in `E`: the
+/// hierarchical mask output, one DS/DF symbol per unique cell and a C
+/// call per instance — never a flattened copy — so the file size scales
+/// with unique-cell geometry plus instance count, not the flattened rect
+/// count (the GDS counterpart is `writeGdsHier`). Area-identical to the
+/// flat emission of the same cell (the round-trip tests parse it back
+/// and compare per-layer union areas).
 [[nodiscard]] std::string writeCif(const cell::Cell& top, const CifOptions& opts = {});
-
-/// Hierarchical mask output, spelled out: one DS/DF symbol per unique
-/// cell and a C call per instance — never a flattened copy — so the
-/// file size scales with unique-cell geometry plus instance count, not
-/// the flattened rect count (the GDS counterpart is `writeGdsHier`).
-/// Today `writeCif(Cell)` already preserves hierarchy, so this is that
-/// writer under the name the hierarchical-compile API promises; callers
-/// choosing flat vs hier emission pair `writeCif(FlatLayout)` with
-/// `writeCifHier`. Area-identical to the flat emission of the same cell
-/// (the round-trip tests parse it back and compare per-layer union
-/// areas).
-[[nodiscard]] std::string writeCifHier(const cell::Cell& top, const CifOptions& opts = {});
 
 /// Write a View's artwork as one CIF symbol (DS 1), geometry streamed
 /// tile by tile — the windowed-emission path, and (through the

@@ -293,6 +293,9 @@ CifParseResult parseCif(std::string_view text, cell::CellLibrary& lib) {
       } else if (ensureCurrent() != nullptr) {
         auto it = symbols.find(static_cast<int>(*id));
         if (it == symbols.end()) return fail("call of undefined symbol " + std::to_string(*id));
+        // The only cycle a CIF deck can build: `C` resolves only symbols
+        // whose cell already exists, and a repeated DS makes a fresh cell.
+        if (it->second == current) return fail("symbol " + std::to_string(*id) + " calls itself");
         current->addInstance(it->second, geom::Transform{orientFromOps(mx, my, rot), t});
       }
       sc.finishCommand();

@@ -82,7 +82,7 @@ void emitCifWindowed(const core::CompiledChip& chip, std::ostream& os,
       // Lazy viewport: the View resolves only window-touching instances.
       os << layout::writeCif(layout::View{chip.hierTop(), toViewOptions(opts)});
     } else {
-      os << layout::writeCifHier(*chip.top);
+      os << layout::writeCif(*chip.top);
     }
     return;
   }

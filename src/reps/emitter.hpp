@@ -40,7 +40,7 @@ struct EmitterOptions {
   /// keeps the pre-clip reference behavior (bbox filter, emit whole).
   bool clipPolygons = true;
   /// Route geometry through the chip's hierarchical index instead of the
-  /// full flatten. Full-chip cif/gds become `writeCifHier`/`writeGdsHier`
+  /// full flatten. Full-chip cif/gds become `writeCif(Cell)`/`writeGdsHier`
   /// (symbol calls / SREF+AREF, never a flattened copy); windowed cif/gds
   /// open the `View` over `CompiledChip::hierTop()`, so the viewport
   /// resolves only window-touching instances. Non-geometry backends (and

@@ -5,8 +5,6 @@
 #include "icl/parser.hpp"
 #include "lint/lint.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <sstream>
 #include <utility>
 
@@ -69,7 +67,7 @@ CompileResponse CompileService::compile(const CompileRequest& req) {
   // Canonicalize the design first: source text is parsed once, and the
   // parsed description is both the cache key's input and the compile's,
   // so a source request and its typed twin share one cache entry.
-  const std::optional<icl::ChipDesc> desc = resolveDesc(req, resp.diags);
+  std::optional<icl::ChipDesc> desc = resolveDesc(req, resp.diags);
   if (!desc.has_value()) {
     const std::lock_guard<std::mutex> lock(mu_);
     ++stats_.failures;
@@ -78,35 +76,37 @@ CompileResponse CompileService::compile(const CompileRequest& req) {
   }
   resp.key = core::requestDigest(*desc, req.opts);
 
-  // Cache lookup + single-flight claim. Whoever claims the key compiles;
-  // twins wait and re-check the cache when the compiler finishes.
-  bool weCompile = false;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      if (ChipHandle hit = cache_.find(resp.key)) {
-        ++stats_.cacheHits;
-        resp.chip = std::move(hit);
-        resp.cacheHit = true;
-        resp.latency = Clock::now() - t0;
-        return resp;
-      }
-      if (inflight_.insert(resp.key).second) {
-        ++stats_.cacheMisses;
-        weCompile = true;
-        break;
-      }
-      ++stats_.dedupedInFlight;
-      resp.deduped = true;
-      cv_.wait(lock);
-    }
-  }
-  (void)weCompile;
+  if (claimOrWait(resp)) build(std::move(*desc), req.opts, resp);
+  resp.latency = Clock::now() - t0;
+  return resp;
+}
 
+bool CompileService::claimOrWait(CompileResponse& resp) {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    if (ChipHandle hit = cache_.find(resp.key)) {
+      ++stats_.cacheHits;
+      resp.chip = std::move(hit);
+      resp.cacheHit = true;
+      return false;
+    }
+    if (inflight_.insert(resp.key).second) {
+      ++stats_.cacheMisses;
+      return true;
+    }
+    // Another caller compiles this key; wake when it finishes and re-check.
+    ++stats_.dedupedInFlight;
+    resp.deduped = true;
+    cv_.wait(lock);
+  }
+}
+
+void CompileService::build(icl::ChipDesc desc, const core::CompileOptions& opts,
+                           CompileResponse& resp) {
   // Compile outside the lock: the service stays responsive while a big
   // chip builds. The session is over the canonical description, so the
   // result is bit-identical to the typed-frontend path.
-  core::CompileSession session(*desc, req.opts);
+  core::CompileSession session(std::move(desc), opts);
   auto result = session.run();
   ChipHandle handle;
   if (result) {
@@ -115,175 +115,86 @@ CompileResponse CompileService::compile(const CompileRequest& req) {
     cache_.insert(resp.key, handle);
   }
   mergeInto(resp.diags, result.diagnostics());
-  finishKey(resp.key, handle);
-
-  resp.chip = std::move(handle);
-  resp.latency = Clock::now() - t0;
-  return resp;
-}
-
-void CompileService::finishKey(std::uint64_t key, const ChipHandle& handle) {
-  std::vector<std::function<void(const ChipHandle&)>> waiters;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     ++stats_.compilesExecuted;
     if (handle == nullptr) ++stats_.failures;
-    inflight_.erase(key);
-    if (const auto it = keyWaiters_.find(key); it != keyWaiters_.end()) {
-      waiters = std::move(it->second);
-      keyWaiters_.erase(it);
-    }
+    inflight_.erase(resp.key);
   }
   cv_.notify_all();
-  for (const auto& w : waiters) w(handle);
-}
-
-/// One pipelined compileAll call: shared by every task the batch
-/// schedules. Lives on the calling thread's stack — `compileAll` does
-/// not return until `remaining` hits zero, so captured references into
-/// it stay valid for every task and parked callback until that request
-/// retires (`batchDone`'s locked decrement is its last touch).
-struct CompileService::BatchState {
-  std::vector<CompileRequest>& reqs;
-  std::vector<CompileResponse>& out;
-  core::TaskGroup group;
-  Clock::time_point start = Clock::now();
-  std::atomic<std::size_t> next{0};  ///< lane-admission cursor
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t remaining;  ///< requests not yet retired; guarded by mu
-
-  BatchState(std::vector<CompileRequest>& reqs, std::vector<CompileResponse>& out)
-      : reqs(reqs), out(out), remaining(reqs.size()) {}
-};
-
-void CompileService::batchAdmit(BatchState& b) {
-  const std::size_t i = b.next.fetch_add(1, std::memory_order_relaxed);
-  if (i >= b.reqs.size()) return;
-  b.group.run([this, &b, i] { batchStep(b, i); });
-}
-
-void CompileService::batchDone(BatchState& b, std::size_t i) {
-  b.out[i].latency = Clock::now() - b.start;  // sojourn, not service time
-  batchAdmit(b);  // keep the lane busy
-  // Once `remaining` can read zero, `compileAll` may return and take `b`
-  // with it — before this call returns when `i` was parked on another
-  // thread's key — so admit first and notify under the lock.
-  const std::lock_guard<std::mutex> lock(b.mu);
-  --b.remaining;
-  b.cv.notify_all();
-}
-
-void CompileService::batchStep(BatchState& b, std::size_t i) {
-  // A retry (after a failed claimant) starts from a clean response;
-  // only the deduped flag survives, it records history.
-  const bool wasDeduped = b.out[i].deduped;
-  b.out[i] = CompileResponse{};
-  CompileResponse& resp = b.out[i];
-  resp.deduped = wasDeduped;
-
-  const CompileRequest& req = b.reqs[i];
-  const std::optional<icl::ChipDesc> desc = resolveDesc(req, resp.diags);
-  if (!desc.has_value()) {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.failures;
-    }
-    batchDone(b, i);
-    return;
-  }
-  resp.key = core::requestDigest(*desc, req.opts);
-
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (ChipHandle hit = cache_.find(resp.key)) {
-      ++stats_.cacheHits;
-      resp.chip = std::move(hit);
-      resp.cacheHit = true;
-      lock.unlock();
-      batchDone(b, i);
-      return;
-    }
-    if (!inflight_.insert(resp.key).second) {
-      // A twin holds this key. Unlike `compile()`, don't block a pool
-      // task on it — park a callback and yield the thread; `finishKey`
-      // fires it with the claimant's outcome.
-      ++stats_.dedupedInFlight;
-      resp.deduped = true;
-      keyWaiters_[resp.key].push_back([this, &b, i](const ChipHandle& handle) {
-        if (handle != nullptr) {
-          {
-            const std::lock_guard<std::mutex> lock2(mu_);
-            ++stats_.cacheHits;
-          }
-          b.out[i].chip = handle;
-          b.out[i].cacheHit = true;
-          batchDone(b, i);
-        } else {
-          // Claimant failed: re-run the step (mirrors the blocking
-          // path's wake-and-recheck loop; this request may claim now).
-          b.group.run([this, &b, i] { batchStep(b, i); });
-        }
-      });
-      return;
-    }
-    ++stats_.cacheMisses;
-  }
-
-  // We claimed the key: compile as a chain of per-stage tasks so other
-  // requests' stages interleave with this one's.
-  batchStage(b, i, std::make_shared<core::CompileSession>(*desc, req.opts), resp.key);
-}
-
-void CompileService::batchStage(BatchState& b, std::size_t i,
-                                std::shared_ptr<core::CompileSession> sess,
-                                std::uint64_t key) {
-  sess->runNext();
-  if (!sess->failed() && !sess->finished()) {
-    b.group.run([this, &b, i, sess = std::move(sess), key] { batchStage(b, i, sess, key); });
-    return;
-  }
-  CompileResponse& resp = b.out[i];
-  ChipHandle handle;
-  if (sess->finished()) {
-    handle = ChipHandle(sess->takeChip());
-    prewarm(*handle);
-    cache_.insert(key, handle);
-  }
-  mergeInto(resp.diags, sess->diagnostics());
-  finishKey(key, handle);
   resp.chip = std::move(handle);
-  batchDone(b, i);
 }
 
 std::vector<CompileResponse> CompileService::compileAll(std::vector<CompileRequest> reqs) {
-  std::vector<CompileResponse> out(reqs.size());
-  if (reqs.empty()) return out;
+  const auto t0 = Clock::now();
+  const std::size_t n = reqs.size();
+  std::vector<CompileResponse> out(n);
+
+  // 1. Resolve and key every request; then, under one lock, answer cache
+  // hits and claim each free key once. A later request for a key this
+  // batch claimed is its claimant's twin; a request for a key another
+  // caller holds waits in step 3, never in a pool task.
+  std::vector<std::optional<icl::ChipDesc>> descs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    descs[i] = resolveDesc(reqs[i], out[i].diags);
+    if (descs[i].has_value()) out[i].key = core::requestDigest(*descs[i], reqs[i].opts);
+  }
+  std::unordered_map<std::uint64_t, std::size_t> claimant;  // key -> request building it
+  std::vector<std::size_t> claimed;  // requests built in step 2
+  std::vector<std::size_t> pending;  // twins and waiters, finished in step 3
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    stats_.compileRequests += reqs.size();
+    stats_.compileRequests += n;
+    for (std::size_t i = 0; i < n; ++i) {
+      CompileResponse& resp = out[i];
+      resp.latency = Clock::now() - t0;
+      if (!descs[i].has_value()) {
+        ++stats_.failures;
+      } else if (ChipHandle hit = cache_.find(resp.key)) {
+        ++stats_.cacheHits;
+        resp.chip = std::move(hit);
+        resp.cacheHit = true;
+      } else if (claimant.contains(resp.key)) {
+        ++stats_.dedupedInFlight;
+        resp.deduped = true;
+        pending.push_back(i);
+      } else if (inflight_.insert(resp.key).second) {
+        ++stats_.cacheMisses;
+        claimant.emplace(resp.key, i);
+        claimed.push_back(i);
+      } else {
+        pending.push_back(i);
+      }
+    }
   }
 
-  core::ThreadPool& pool = core::ThreadPool::global();
-  const unsigned poolWidth = pool.workerCount() + 1;
-  const unsigned width =
-      opts_.threads == 0 ? poolWidth : std::min(opts_.threads, poolWidth);
+  // 2. Build the claimed keys, one whole compile per pool index.
+  core::ThreadPool::global().parallelFor(
+      claimed.size(), 1,
+      [&](std::size_t k) {
+        const std::size_t i = claimed[k];
+        build(std::move(*descs[i]), reqs[i].opts, out[i]);
+        out[i].latency = Clock::now() - t0;
+      },
+      opts_.threads);
 
-  BatchState b(reqs, out);
-  const std::size_t lanes = std::min<std::size_t>(width, reqs.size());
-  for (std::size_t l = 0; l < lanes; ++l) batchAdmit(b);
-
-  // The caller participates as a lane worker via group.wait(). The group
-  // can drain while requests are still parked on an external claimant's
-  // key (their callbacks arrive from that thread), so retire the batch
-  // on `remaining`, not on task count.
-  for (;;) {
-    b.group.wait();
-    std::unique_lock<std::mutex> lk(b.mu);
-    if (b.remaining == 0) break;
-    b.cv.wait_for(lk, std::chrono::milliseconds(1),
-                  [&] { return b.remaining == 0; });
-    if (b.remaining == 0) break;
+  // 3. Twins take their claimant's chip. A twin whose claimant failed,
+  // and a request whose key another caller held, go through compile()'s
+  // claim-or-wait loop on this thread.
+  for (const std::size_t i : pending) {
+    CompileResponse& resp = out[i];
+    const auto it = claimant.find(resp.key);
+    if (it != claimant.end() && out[it->second].chip != nullptr) {
+      {
+        const std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.cacheHits;
+      }
+      resp.chip = out[it->second].chip;
+      resp.cacheHit = true;
+    } else if (claimOrWait(resp)) {
+      build(std::move(*descs[i]), reqs[i].opts, resp);
+    }
+    resp.latency = Clock::now() - t0;
   }
   return out;
 }

@@ -11,21 +11,28 @@
 ///    `core::requestDigest` (canonical description text + options
 ///    fingerprint), so identical designs are never compiled twice;
 ///  * duplicate concurrent requests for the same key are single-flighted:
-///    one thread compiles, the rest wait on the result instead of
-///    burning cores on identical work;
-///  * `compileAll` runs a request batch as *pipelined stage tasks* on
-///    the process-shared `core::ThreadPool`: each request's compile is
-///    a chain of per-stage tasks, so one chip's parse overlaps another
-///    chip's pass2, every request still goes through the cache and the
-///    single-flight gate, and a request that dedups against an
-///    in-flight twin parks a completion callback instead of blocking a
-///    pool worker;
+///    one thread claims the key and compiles, the rest wait on the
+///    result instead of burning cores on identical work;
+///  * `compileAll` claims each of its uncached keys once, compiles the
+///    claimed keys as whole jobs in one `parallelFor` on the
+///    process-shared `core::ThreadPool`, then hands each same-batch twin
+///    its claimant's chip;
 ///  * `viewport` answers pan/zoom requests on cached chips by streaming
 ///    `layout::View` tiles through the `reps::EmitterOptions` path — a
 ///    warm viewport request runs zero compile stages (asserted by tests
 ///    and the service load bench via `ServiceStats::compilesExecuted`).
 ///
-/// Thread safety: every public method may be called concurrently.
+/// Thread safety: every public method may be called concurrently, from
+/// client threads. The invariant that keeps the shared pool
+/// deadlock-free: *no pool task ever waits on a claim*. A claimant whose
+/// compile runs a nested `parallelFor` (for example lint at `threads = 0`)
+/// help-runs whatever the queue holds, so a queued task that blocked on
+/// that claimant's own key would never be released. Pool tasks only
+/// build keys their batch already claimed; every wait on another
+/// caller's claim happens on the calling thread (`compile()`, and
+/// `compileAll` after its pool work). So do not call the service from
+/// inside a pool task.
+///
 /// Every chip entering the cache is prewarmed before it becomes visible:
 /// the `flatTop`/`flatCore` flattens and the `hierTop` hierarchical index
 /// are built, and so are all their per-layer spatial indexes. The
@@ -46,7 +53,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -59,7 +65,7 @@
 namespace bb::svc {
 
 struct ServiceOptions {
-  /// Lane width for `compileAll` on the process-shared
+  /// Width limit for `compileAll`'s compiles on the process-shared
   /// `core::ThreadPool` (0 = full pool width: workers + caller). A
   /// *budget on one pool*, not a thread count: requests whose compiles
   /// go parallel underneath (threaded DRC via `DrcOptions::threads`,
@@ -101,7 +107,9 @@ struct CompileResponse {
   icl::DiagnosticList diags;
   std::uint64_t key = 0;      ///< content address (0 when unkeyable: parse failed)
   bool cacheHit = false;      ///< served straight from the chip cache
-  bool deduped = false;       ///< waited on an identical in-flight compile
+  /// Waited on an identical in-flight compile: a same-batch twin's, or
+  /// another caller's (then the cache was re-checked, as `compile()` does).
+  bool deduped = false;
   std::chrono::nanoseconds latency{};
 
   [[nodiscard]] bool ok() const noexcept { return chip != nullptr; }
@@ -196,12 +204,15 @@ class CompileService {
   /// same content address are single-flighted.
   [[nodiscard]] CompileResponse compile(const CompileRequest& req);
 
-  /// Run a request mix as pipelined stage tasks on the shared pool;
-  /// responses come back in request order, each `latency` measured from
-  /// `compileAll` entry (sojourn time). At most `ServiceOptions::threads`
-  /// lanes are admitted at once, but stages interleave freely across
-  /// lanes, so small requests stream past big ones. Failed requests
-  /// carry diagnostics, never abort the batch.
+  /// Run a request mix on the shared pool, at most
+  /// `ServiceOptions::threads` compiles at once; responses come back in
+  /// request order, each `latency` measured from `compileAll` entry
+  /// (sojourn time). Identical requests in one batch share one compile
+  /// (the twins are `deduped` and `cacheHit`), even with caching off. A
+  /// request whose key another caller is compiling waits for it and
+  /// re-checks the cache, exactly like `compile()`: with caching off it
+  /// compiles its own copy. Failed requests carry diagnostics, never
+  /// abort the batch.
   [[nodiscard]] std::vector<CompileResponse> compileAll(std::vector<CompileRequest> reqs);
 
   /// Compile (or fetch) and emit in `format` with full emitter options.
@@ -230,35 +241,24 @@ class CompileService {
   [[nodiscard]] const ServiceOptions& options() const noexcept { return opts_; }
 
  private:
-  struct BatchState;
-
   [[nodiscard]] EmitResponse emitImpl(const CompileRequest& req, std::string_view format,
                                       const reps::EmitterOptions& eopts);
 
-  // Pipelined compileAll machinery: admit a lane, run one request's
-  // cache/claim step, chain its compile stages, retire it.
-  void batchAdmit(BatchState& b);
-  void batchStep(BatchState& b, std::size_t i);
-  void batchStage(BatchState& b, std::size_t i,
-                  std::shared_ptr<core::CompileSession> sess, std::uint64_t key);
-  void batchDone(BatchState& b, std::size_t i);
+  /// Answer keyed `resp` from the cache, or claim its key (true: the
+  /// caller must `build` it next), waiting on the calling thread while
+  /// another caller holds the key. Never called from a pool task.
+  [[nodiscard]] bool claimOrWait(CompileResponse& resp);
 
-  /// Retire a claimed key: record stats, publish the outcome to blocking
-  /// twins (cv_) and to parked batch waiters (their callbacks run here,
-  /// on the claimant's thread, after mu_ is released).
-  void finishKey(std::uint64_t key, const ChipHandle& handle);
+  /// Compile a claimed key, prewarm and cache the chip, then release the
+  /// claim (counting the compile) and wake the waiters.
+  void build(icl::ChipDesc desc, const core::CompileOptions& opts, CompileResponse& resp);
 
   ServiceOptions opts_;
   ChipCache cache_;
 
-  mutable std::mutex mu_;  ///< guards stats_, in-flight set, key waiters
-  std::condition_variable cv_;
-  std::unordered_set<std::uint64_t> inflight_;
-  /// Parked completion callbacks of batch requests that deduped against
-  /// an in-flight key; invoked by `finishKey` with the claimant's result
-  /// (null handle = the claimant failed, waiters retry).
-  std::unordered_map<std::uint64_t, std::vector<std::function<void(const ChipHandle&)>>>
-      keyWaiters_;
+  mutable std::mutex mu_;  ///< guards stats_, the in-flight set, lintReports_
+  std::condition_variable cv_;  ///< signalled whenever a claim is released
+  std::unordered_set<std::uint64_t> inflight_;  ///< claimed keys
   /// Lint reports by report key (chip key + lint-option fingerprint);
   /// guarded by mu_. Reports are small (findings, not geometry), so no
   /// byte budget — the chip cache's eviction pressure bounds variety.

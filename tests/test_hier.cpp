@@ -252,7 +252,7 @@ TEST(HierMask, UniformArrayEmitsOneArefAndRoundTrips) {
   EXPECT_LT(gds.size() * 2, flatGds.size());
 
   // CIF: symbol calls, parsed back and compared by per-layer mask area.
-  const std::string cif = layout::writeCifHier(*top);
+  const std::string cif = layout::writeCif(*top);
   CellLibrary parsed;
   const layout::CifParseResult res = layout::parseCif(cif, parsed);
   ASSERT_TRUE(res.ok) << res.error;

@@ -87,6 +87,13 @@ TEST(Cif, ParserRejectsGarbage) {
   EXPECT_FALSE(parseCif("", lib2).ok);
   CellLibrary lib3;
   EXPECT_FALSE(parseCif("DS 1 25 1; C 99 T 0 0; DF; E", lib3).ok);  // undefined call
+  // A symbol that calls itself, after its first shape or as its first command.
+  for (const char* selfCall : {"DS 1; L NM; B 4 4 0 0; C 1; DF; C 1; E", "DS 1; C 1; DF; E"}) {
+    CellLibrary lib4;
+    const auto res = parseCif(selfCall, lib4);
+    EXPECT_FALSE(res.ok) << selfCall;
+    EXPECT_NE(res.error.find("symbol 1"), std::string::npos) << res.error;
+  }
 }
 
 TEST(Cif, CommentsSkipped) {

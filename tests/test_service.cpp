@@ -580,11 +580,11 @@ TEST(CompileService, EvictionKeepsServingCorrectChips) {
 
 TEST(CompileService, CompileAllOutlivesTwinsRetiredOnAnotherThread) {
   // Two callers batch the same design with caching off, so requests keep
-  // parking on the other caller's in-flight key and are retired on that
-  // caller's thread. The owning compileAll may return as soon as its last
-  // request retires; retiring used to be followed by a notify and a lane
-  // admission on the (by then dead) batch — a stack use after return that
-  // ASan reports when both callers share one CPU.
+  // finding their key in flight on the other caller. Nothing of one
+  // caller's batch may be touched by the other caller's thread once its
+  // compileAll returns: a scheduler that retired a waiting request on
+  // the claimant's thread once touched the returned batch, a stack use
+  // after return that ASan reports when both callers share one CPU.
   svc::ServiceOptions opts;
   opts.cacheBudgetBytes = 0;
   svc::CompileService service(opts);
@@ -606,7 +606,96 @@ TEST(CompileService, CompileAllOutlivesTwinsRetiredOnAnotherThread) {
   const svc::ServiceStats s = service.stats();
   EXPECT_EQ(s.compileRequests, 4u * kRounds);
   EXPECT_EQ(s.failures, 0u);
-  EXPECT_GT(s.dedupedInFlight, 0u);  // the parked path really ran
+  EXPECT_GT(s.dedupedInFlight, 0u);  // requests really waited on twins
+}
+
+TEST(CompileService, CompileAllTwinsShareOneCompileWithCachingOff) {
+  // With no cache to re-check, same-batch twins still get their
+  // claimant's chip: one compile, and each twin is counted once as
+  // deduped and once as a hit.
+  svc::ServiceOptions opts;
+  opts.cacheBudgetBytes = 0;
+  svc::CompileService service(opts);
+  std::vector<svc::CompileRequest> reqs(8,
+                                        svc::CompileRequest::ofDesc(core::samples::smallChip(4)));
+  const auto responses = service.compileAll(std::move(reqs));
+  ASSERT_EQ(responses.size(), 8u);
+  int twins = 0;
+  for (const svc::CompileResponse& r : responses) {
+    ASSERT_TRUE(r.ok()) << r.diags.toString();
+    EXPECT_EQ(r.chip.get(), responses.front().chip.get());
+    EXPECT_EQ(r.deduped, r.cacheHit);
+    if (r.deduped) ++twins;
+  }
+  EXPECT_FALSE(responses.front().deduped);  // the claimant compiled it
+  EXPECT_EQ(twins, 7);
+  const svc::ServiceStats s = service.stats();
+  EXPECT_EQ(s.compilesExecuted, 1u);
+  EXPECT_EQ(s.cacheMisses, 1u);
+  EXPECT_EQ(s.dedupedInFlight, 7u);
+  EXPECT_EQ(s.cacheHits, 7u);
+}
+
+TEST(CompileService, CompileAllTwinOfAFailedCompileRetriesIt) {
+  // Parses, then fails in the vote stage (unknown conditional variable).
+  const std::string src = R"(chip bad;
+microcode width 4 { field op [0:3]; }
+data width 4;
+buses A;
+core {
+  inport IN (bus = A, drive = "op==1");
+  if UNDEFINED_VAR { probe P (bus = A, bit = 0); }
+  outport OUT (bus = A, sample = "op==2");
+}
+)";
+  svc::CompileService service;
+  std::vector<svc::CompileRequest> reqs(2, svc::CompileRequest::ofSource("bad", src));
+  const auto responses = service.compileAll(std::move(reqs));
+  ASSERT_EQ(responses.size(), 2u);
+  for (const svc::CompileResponse& r : responses) {
+    EXPECT_FALSE(r.ok());
+    EXPECT_NE(r.key, 0u);  // keyed: the failure is the compile's, not the parse's
+    EXPECT_TRUE(r.diags.hasErrors()) << r.diags.toString();
+  }
+  // The twin does not inherit the failure: it retries, and fails itself.
+  const svc::ServiceStats s = service.stats();
+  EXPECT_EQ(s.compilesExecuted, 2u);
+  EXPECT_EQ(s.failures, 2u);
+}
+
+TEST(CompileService, CompileAllWithPooledLintNeverDeadlocks) {
+  // Two callers batch the same two designs with caching off, and every
+  // compile runs lint at full pool width. A claimant's nested lint loop
+  // help-runs whatever the pool queue holds, so a queued task that
+  // waited on a claim could end up under the very claimant it waits for.
+  svc::ServiceOptions opts;
+  opts.cacheBudgetBytes = 0;
+  svc::CompileService service(opts);
+  CompileOptions copts;
+  copts.lint.enabled = true;
+  copts.lint.threads = 0;
+  const std::array<icl::ChipDesc, 2> designs{core::samples::smallChip(4),
+                                             core::samples::segmentedChip(4)};
+  constexpr int kRounds = 50;
+  std::atomic<int> failed{0};
+  const auto client = [&] {
+    for (int r = 0; r < kRounds; ++r) {
+      std::vector<svc::CompileRequest> reqs;
+      for (const icl::ChipDesc& d : designs) {
+        reqs.push_back(svc::CompileRequest::ofDesc(d, copts));
+      }
+      for (const svc::CompileResponse& resp : service.compileAll(std::move(reqs))) {
+        if (!resp.ok()) failed.fetch_add(1);
+      }
+    }
+  };
+  std::thread other(client);
+  client();
+  other.join();
+  EXPECT_EQ(failed.load(), 0);
+  const svc::ServiceStats s = service.stats();
+  EXPECT_EQ(s.compileRequests, 4u * kRounds);
+  EXPECT_EQ(s.failures, 0u);
 }
 
 // ------------------------------------------- approxBytes cache charging
@@ -819,7 +908,7 @@ TEST(Service, WholeArtworkHierarchicalViewportIsTheSymbolCallMask) {
   req.hierarchical = true;  // no window: the full symbol-call mask
   const auto resp = service.viewport(req);
   ASSERT_TRUE(resp.ok) << resp.diags.toString();
-  EXPECT_EQ(resp.payload, layout::writeCifHier(*first.chip->top));
+  EXPECT_EQ(resp.payload, layout::writeCif(*first.chip->top));
 
   // Symbol calls instead of flattened copies: smaller than the same
   // artwork streamed through the windowed (flattening) path. (The plain
