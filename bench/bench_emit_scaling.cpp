@@ -99,13 +99,13 @@ void printTable(bool smoke) {
     const Rect vp = viewportOf(bb);
 
     std::string full;
-    const double fullS = timeIt([&] { full = layout::writeCif(flat, ViewOptions{}); });
+    const double fullS = timeIt([&] { full = layout::writeCif(layout::View{flat}); });
     bench::BenchJson::instance().recordRun("emit_full_cif", static_cast<long long>(n), fullS);
 
     // The golden invariant: full emission IS the window == bbox case.
     ViewOptions atBbox;
     atBbox.window = bb;
-    if (layout::writeCif(flat, atBbox) != full) {
+    if (layout::writeCif(layout::View{flat, atBbox}) != full) {
       std::fprintf(stderr, "FATAL: window==bbox CIF diverged from full emission at n=%zu\n", n);
       std::abort();
     }
@@ -114,7 +114,7 @@ void printTable(bool smoke) {
     windowed.window = vp;
     windowed.tileSize = tile;
     std::string win;
-    const double winS = timeIt([&] { win = layout::writeCif(flat, windowed); });
+    const double winS = timeIt([&] { win = layout::writeCif(layout::View{flat, windowed}); });
     bench::BenchJson::instance().recordRun("emit_window_cif", static_cast<long long>(n), winS);
     if (win.size() >= full.size()) {
       std::fprintf(stderr, "FATAL: windowed CIF not smaller than full at n=%zu\n", n);
@@ -125,7 +125,8 @@ void printTable(bool smoke) {
     mergedOpts.merge = true;
     mergedOpts.tileSize = tile;
     std::string merged;
-    const double mergedS = timeIt([&] { merged = layout::writeCif(flat, mergedOpts); });
+    const double mergedS =
+        timeIt([&] { merged = layout::writeCif(layout::View{flat, mergedOpts}); });
     bench::BenchJson::instance().recordRun("emit_merged_cif", static_cast<long long>(n),
                                            mergedS);
     // Merging must preserve the mask: per-layer union area of the merged
@@ -165,7 +166,7 @@ void BM_EmitFullCif(benchmark::State& state) {
   const FlatLayout flat = makeFlat(n);
   flat.buildIndexes();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(layout::writeCif(flat, ViewOptions{}));
+    benchmark::DoNotOptimize(layout::writeCif(layout::View{flat}));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
@@ -179,7 +180,7 @@ void BM_EmitWindowCif(benchmark::State& state) {
   windowed.window = viewportOf(flat.bbox());
   windowed.tileSize = lambda(200);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(layout::writeCif(flat, windowed));
+    benchmark::DoNotOptimize(layout::writeCif(layout::View{flat, windowed}));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }

@@ -175,8 +175,8 @@ void printTable(bool smoke) {
     // file back, flatten, compare per-layer union areas) and the GDS
     // structure walk (well-formed, exactly one AREF, no SREF flood).
     t0 = std::chrono::steady_clock::now();
-    const std::string cifFlat = layout::writeCif(flat, {});
-    const std::vector<std::uint8_t> gdsFlat = layout::writeGds(flat, {}, {});
+    const std::string cifFlat = layout::writeCif(layout::View{flat});
+    const std::vector<std::uint8_t> gdsFlat = layout::writeGds(layout::View{flat});
     const double emitFlatS = secondsSince(t0);
     t0 = std::chrono::steady_clock::now();
     const std::string cifHier = layout::writeCif(*top);

@@ -1,8 +1,8 @@
 /// datapath16: the "fairly large chip" — a 16-bit datapath with a
 /// register file, two working registers, ALU, shifter, constant and both
 /// ports. Compiles it, runs the per-cell DRC discipline over every cell
-/// in the library, extracts the core, and dumps all seven
-/// representations plus the SPICE deck.
+/// in the library, extracts the core, and writes the SPICE deck plus the
+/// mask set and diagrams through the emitter registry.
 ///
 /// Run from the build tree:  ./examples/datapath16 [output-dir]
 
@@ -11,7 +11,7 @@
 #include "drc/drc.hpp"
 #include "extract/extract.hpp"
 #include "netlist/spice.hpp"
-#include "reps/reps.hpp"
+#include "reps/emitter.hpp"
 
 #include <cstdio>
 #include <fstream>
@@ -52,23 +52,21 @@ int main(int argc, char** argv) {
     f << bb::netlist::writeSpice(ex.netlist);
   }
 
-  // All seven representations to disk.
-  const bb::reps::RepresentationSet rs = bb::reps::generateAll(*chip);
-  std::printf("representations produced: %d/7\n", rs.populatedCount());
+  // Mask set and diagrams to disk, each through its registered emitter.
   const struct {
     const char* file;
-    const std::string* text;
+    const char* format;
   } outs[] = {
-      {"datapath16.cif", &rs.cif},
-      {"datapath16.svg", &rs.layoutSvg},
-      {"datapath16_sticks.svg", &rs.sticksSvg},
-      {"datapath16_logic.txt", &rs.logicText},
-      {"datapath16_manual.txt", &rs.userManual},
-      {"datapath16_block.txt", &rs.blockText},
+      {"datapath16.cif", "cif"},
+      {"datapath16.svg", "svg"},
+      {"datapath16_sticks.svg", "sticks-svg"},
+      {"datapath16_logic.txt", "logic"},
+      {"datapath16_manual.txt", "text"},
+      {"datapath16_block.txt", "block"},
   };
   for (const auto& o : outs) {
     std::ofstream f(outDir + "/" + o.file, std::ios::binary);
-    f << *o.text;
+    bb::reps::EmitterRegistry::global().emit(*chip, o.format, f);
   }
   std::printf("wrote mask set + diagrams to %s/\n", outDir.c_str());
   return dirty == 0 ? 0 : 1;

@@ -115,9 +115,9 @@ int main(int argc, char** argv) {
               hierMs, flatMs / hierMs, flatRep.violations.size(), hierRep.violations.size());
 
   // 4. Hierarchical mask emission: symbol calls + AREF vs flat copies.
-  const std::string cifFlat = bb::layout::writeCif(flat, bb::layout::ViewOptions{});
+  const std::string cifFlat = bb::layout::writeCif(bb::layout::View{flat});
   const std::string cifHier = bb::layout::writeCif(*array);
-  const auto gdsFlat = bb::layout::writeGds(flat, bb::layout::ViewOptions{});
+  const auto gdsFlat = bb::layout::writeGds(bb::layout::View{flat});
   const auto gdsHier = bb::layout::writeGdsHier(*array);
   const bb::layout::GdsStats gs = bb::layout::gdsStats(gdsHier);
   std::printf("  CIF %zu -> %zu bytes (%.1fx); GDS %zu -> %zu bytes (%.1fx, %zu AREF %zu "

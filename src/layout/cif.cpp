@@ -125,8 +125,8 @@ std::string writeCif(const View& v, const CifOptions& opts) {
         os << "B " << r.width() << ' ' << r.height() << ' ' << r.center().x << ' '
            << r.center().y << ";\n";
       }
-      // This tile's polygon pieces (window-clipped under the default
-      // clipPolygons policy), each emitted from exactly one owner tile.
+      // This tile's window-clipped polygon pieces, each emitted from
+      // exactly one owner tile.
       for (const auto& [pl, p] : v.windowPolygonsOwnedBy(tx, ty)) {
         if (pl != l) continue;
         needLayer();
@@ -140,11 +140,6 @@ std::string writeCif(const View& v, const CifOptions& opts) {
   os << "C 1;\n";
   os << "E\n";
   return os.take();
-}
-
-std::string writeCif(const cell::FlatLayout& flat, const ViewOptions& view,
-                     const CifOptions& opts) {
-  return writeCif(View{flat, view}, opts);
 }
 
 CifStats cifStats(const std::string& cif) {

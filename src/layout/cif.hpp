@@ -7,7 +7,6 @@
 #pragma once
 
 #include "cell/cell.hpp"
-#include "cell/flatten.hpp"
 #include "cell/library.hpp"
 #include "layout/view.hpp"
 
@@ -37,21 +36,17 @@ struct CifOptions {
 [[nodiscard]] std::string writeCif(const cell::Cell& top, const CifOptions& opts = {});
 
 /// Write a View's artwork as one CIF symbol (DS 1), geometry streamed
-/// tile by tile — the windowed-emission path, and (through the
-/// `View(HierIndex)` constructor) the lazy-viewport path that never
-/// materializes the full flatten. Boxes come out in the View's
-/// deterministic tile order; each window-touching polygon is emitted
-/// whole from exactly its owner tile (`View::polygonsOwnedBy`), after
+/// tile by tile — the windowed-emission path (`writeCif(View{flat, opts})`),
+/// and (through the `View(HierIndex)` constructor) the lazy-viewport path
+/// that never materializes the full flatten. Boxes come out in the View's
+/// deterministic tile order; each window-clipped polygon piece is emitted
+/// from exactly its owner tile (`View::windowPolygonsOwnedBy`), after
 /// that tile's boxes. A default single-tile whole-artwork view is
 /// bit-identical to walking the raw layer vectors front to back; with
 /// merging the boxes are the disjoint maximal pieces instead (note
 /// merged/clipped boxes can have odd extents, whose CIF centers round
 /// down — the same quarter-lambda caveat as the hierarchical writer).
 [[nodiscard]] std::string writeCif(const View& v, const CifOptions& opts = {});
-
-/// Convenience: open a View over `flat` with `view` and write it.
-[[nodiscard]] std::string writeCif(const cell::FlatLayout& flat, const ViewOptions& view,
-                                   const CifOptions& opts = {});
 
 /// Statistics of a written mask set (for reports and tests).
 struct CifStats {

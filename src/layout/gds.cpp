@@ -416,8 +416,8 @@ std::vector<std::uint8_t> writeGds(const View& v, const GdsOptions& opts) {
     v.forEachTileParallel(l, [&](std::size_t tx, std::size_t ty,
                                  const std::vector<geom::Rect>& rs) {
       for (const geom::Rect& r : rs) emitRectBoundary(e, layer, r);
-      // This tile's polygon pieces (window-clipped under the default
-      // clipPolygons policy), each emitted from exactly one owner tile.
+      // This tile's window-clipped polygon pieces, each emitted from
+      // exactly one owner tile.
       for (const auto& [pl, p] : v.windowPolygonsOwnedBy(tx, ty)) {
         if (pl != l) continue;
         emitPolyBoundary(e, layer, *p);
@@ -427,11 +427,6 @@ std::vector<std::uint8_t> writeGds(const View& v, const GdsOptions& opts) {
   e.none(kEndStr);
   e.none(kEndLib);
   return e.take();
-}
-
-std::vector<std::uint8_t> writeGds(const cell::FlatLayout& flat, const ViewOptions& view,
-                                   const GdsOptions& opts) {
-  return writeGds(View{flat, view}, opts);
 }
 
 GdsStats gdsStats(const std::vector<std::uint8_t>& bytes) {

@@ -1,13 +1,15 @@
 /// \file gds.hpp
 /// GDSII stream-format writer. GDSII postdates the paper (the 1979 system
 /// emitted CIF) but is the format today's downstream tools expect, so the
-/// library offers both. The writer preserves hierarchy: one structure per
-/// cell, SREFs for instances.
+/// library offers both. Three entry points: `writeGds(Cell)` preserves
+/// hierarchy with one structure per cell and an SREF per instance,
+/// `writeGdsHier` additionally compresses uniform instance grids into
+/// AREFs, and `writeGds(View)` writes one flat structure of windowed
+/// artwork.
 
 #pragma once
 
 #include "cell/cell.hpp"
-#include "cell/flatten.hpp"
 #include "layout/view.hpp"
 
 #include <cstdint>
@@ -44,19 +46,15 @@ struct GdsOptions {
                                                      const GdsOptions& opts = {});
 
 /// Serialize a View's artwork as a single GDSII structure, geometry
-/// streamed tile by tile — the windowed-emission path, and (through the
-/// `View(HierIndex)` constructor) the lazy-viewport path. Boundaries
-/// come out in the View's deterministic tile order; each window-touching
-/// polygon is emitted whole from exactly its owner tile
-/// (`View::polygonsOwnedBy`), after that tile's rects. A default
-/// single-tile whole-artwork view is bit-identical to walking the raw
-/// layer vectors; merging emits the disjoint maximal pieces instead.
+/// streamed tile by tile — the windowed-emission path
+/// (`writeGds(View{flat, opts})`), and (through the `View(HierIndex)`
+/// constructor) the lazy-viewport path. Boundaries come out in the
+/// View's deterministic tile order; each window-clipped polygon piece is
+/// emitted from exactly its owner tile (`View::windowPolygonsOwnedBy`),
+/// after that tile's rects. A default single-tile whole-artwork view is
+/// bit-identical to walking the raw layer vectors; merging emits the
+/// disjoint maximal pieces instead.
 [[nodiscard]] std::vector<std::uint8_t> writeGds(const View& v, const GdsOptions& opts = {});
-
-/// Convenience: open a View over `flat` with `view` and write it.
-[[nodiscard]] std::vector<std::uint8_t> writeGds(const cell::FlatLayout& flat,
-                                                 const ViewOptions& view,
-                                                 const GdsOptions& opts = {});
 
 /// Minimal structural decode of a GDSII stream (record walk) for tests:
 /// counts of structures, boundaries, paths, srefs and arefs, plus

@@ -160,38 +160,10 @@ std::vector<geom::Rect> View::rectsOn(tech::Layer l) const {
   return out;
 }
 
-std::vector<std::pair<tech::Layer, const geom::Polygon*>> View::polygons() const {
-  std::vector<std::pair<tech::Layer, const geom::Polygon*>> out;
-  for (const auto& [l, p] : flat_->polygons) {
-    if (p.bbox().touches(window_)) out.emplace_back(l, &p);
-  }
-  return out;
-}
-
-std::vector<std::pair<tech::Layer, const geom::Polygon*>> View::polygonsOwnedBy(
-    std::size_t tx, std::size_t ty) const {
-  std::vector<std::pair<tech::Layer, const geom::Polygon*>> out;
-  for (const auto& [l, p] : flat_->polygons) {
-    const geom::Rect b = p.bbox();
-    if (!b.touches(window_)) continue;
-    const geom::Coord ax = std::min(std::max(b.x0, window_.x0), window_.x1);
-    const geom::Coord ay = std::min(std::max(b.y0, window_.y0), window_.y1);
-    if (tileOf(ax, window_.x0, pitchX_, tilesX_) != tx) continue;
-    if (tileOf(ay, window_.y0, pitchY_, tilesY_) != ty) continue;
-    out.emplace_back(l, &p);
-  }
-  return out;
-}
-
 const std::vector<std::pair<tech::Layer, geom::Polygon>>& View::windowPolygons() const {
   std::call_once(piecesOnce_, [this] {
     for (const auto& [l, p] : flat_->polygons) {
-      const geom::Rect b = p.bbox();
-      if (!b.touches(window_)) continue;
-      if (!opts_.clipPolygons) {
-        pieces_.emplace_back(l, p);
-        continue;
-      }
+      if (!p.bbox().touches(window_)) continue;
       // clipToRect's fast path hands back the polygon verbatim when the
       // window contains it, so full-chip emission reproduces the source
       // vertex stream byte for byte.

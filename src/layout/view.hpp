@@ -10,8 +10,12 @@
 /// `FlatLayout::indexOn(layer)` window queries instead of full scans, so
 /// emission cost tracks the geometry in the window (output-sensitive), not
 /// the chip size. All four geometry writers (CIF, GDS, SVG, sticks-SVG)
-/// stream from a View; full-chip emission is simply the `window == bbox`,
-/// single-tile special case and is bit-identical to the raw walk.
+/// stream from a View: `writeCif`/`writeGds` take one directly
+/// (`writeCif(View{flat, opts})`), svg and sticks open one from their
+/// `ViewOptions`. Full-chip emission is simply the `window == bbox`,
+/// single-tile special case and is bit-identical to the raw walk. The
+/// emitter registry reaches every writer through `reps::EmitterOptions`,
+/// which is `ViewOptions` plus the `hierarchical` switch.
 ///
 /// Two streaming modes:
 ///  * unmerged (default): original rects, unclipped, each emitted exactly
@@ -27,18 +31,14 @@
 ///    `sweep::unionArea`). Merged output is clipped to the window.
 ///
 /// Polygons (which only CIF import produces today) stream through the
-/// `geom::poly` clipping engine: with the default `clipPolygons`, a
-/// polygon crossing the window boundary is clipped to the window
-/// (`geom::poly::clipToRect`) and its pieces emitted instead of the
-/// whole ring, while a polygon fully inside the window passes through
-/// verbatim — so full-chip emission stays byte-identical to the raw
-/// walk. With `clipPolygons` off, the pre-clip reference behavior:
-/// bbox-filter against the window and emit survivors whole
-/// (conservative over-emission rather than silent loss). Either way,
-/// tiled writers assign each emitted piece to exactly one owner tile
-/// (`windowPolygonsOwnedBy`, the same window-clamped lower-left rule
-/// the rects use), so a boundary-spanning piece is never re-emitted
-/// per touching tile.
+/// `geom::poly` clipping engine: a polygon crossing the window boundary
+/// is clipped to the window (`geom::poly::clipToRect`) and its pieces
+/// emitted instead of the whole ring, while a polygon fully inside the
+/// window passes through verbatim — so full-chip emission stays
+/// byte-identical to the raw walk. Tiled writers assign each piece to
+/// exactly one owner tile (`windowPolygonsOwnedBy`, the same
+/// window-clamped lower-left rule the rects use), so a boundary-spanning
+/// piece is never re-emitted per touching tile.
 ///
 /// A View can also be opened over a `cell::HierIndex` instead of a full
 /// flatten: the constructor resolves ONLY the placements whose bounding
@@ -64,8 +64,8 @@
 
 namespace bb::layout {
 
-/// Window/tile/merge parameters for a View (and, via
-/// `reps::EmitterOptions`, for any registered emitter).
+/// Window/tile/merge parameters for a View. `reps::EmitterOptions`
+/// extends it, so the same fields drive every registered emitter.
 struct ViewOptions {
   /// Viewport in layout coordinates. Unset: the whole artwork
   /// (`flat.bbox()`), i.e. full-chip emission.
@@ -75,10 +75,6 @@ struct ViewOptions {
   /// Merge each tile's rects into disjoint maximal pieces
   /// (`sweep::unionRects`), clipped to the tile. Off: original rects.
   bool merge = false;
-  /// Clip window-crossing polygons to the window (`geom::poly::clipToRect`)
-  /// and emit the pieces; fully-inside polygons pass through verbatim.
-  /// Off: the pre-clip reference behavior — bbox filter, emit whole.
-  bool clipPolygons = true;
 };
 
 class View {
@@ -134,26 +130,11 @@ class View {
   /// (the streaming order flattened).
   [[nodiscard]] std::vector<geom::Rect> rectsOn(tech::Layer l) const;
 
-  /// Polygons whose bounding box touches the window, whole and in source
-  /// order. Windowed emission emits these un-clipped — conservative
-  /// over-emission rather than silent loss.
-  [[nodiscard]] std::vector<std::pair<tech::Layer, const geom::Polygon*>> polygons() const;
-
-  /// The window-touching polygons OWNED by tile (tx, ty): the tile
-  /// containing the polygon bbox's window-clamped lower-left corner,
-  /// exactly the rect owner rule — so a tiled writer emits each polygon
-  /// exactly once, from one tile, instead of once per touching tile.
-  /// Source order within the tile. Linear in the polygon count per call
-  /// (polygons are rare — CIF import only — and not spatially indexed).
-  [[nodiscard]] std::vector<std::pair<tech::Layer, const geom::Polygon*>> polygonsOwnedBy(
-      std::size_t tx, std::size_t ty) const;
-
-  /// The window's polygon geometry under the clipping policy, in source
-  /// order: with `clipPolygons`, window-crossing polygons are replaced
-  /// by their window-clipped pieces (fully-inside polygons verbatim,
-  /// zero-area grazers dropped); without, whole bbox-touching polygons.
-  /// Built once on first use and cached (thread-safe); the returned
-  /// reference lives as long as the View.
+  /// The window's polygon geometry in source order: window-crossing
+  /// polygons are replaced by their window-clipped pieces (fully-inside
+  /// polygons verbatim, zero-area grazers dropped). Built once on first
+  /// use and cached (thread-safe); the returned reference lives as long
+  /// as the View.
   [[nodiscard]] const std::vector<std::pair<tech::Layer, geom::Polygon>>& windowPolygons()
       const;
 

@@ -1,11 +1,13 @@
 #include "reps/emitter.hpp"
 
+#include "geom/text_buffer.hpp"
 #include "layout/cif.hpp"
 #include "layout/gds.hpp"
 #include "layout/svg.hpp"
 #include "netlist/spice.hpp"
-#include "reps/reps.hpp"
+#include "reps/blockrep.hpp"
 #include "reps/sticks.hpp"
+#include "reps/textrep.hpp"
 
 #include <algorithm>
 #include <mutex>
@@ -13,12 +15,6 @@
 #include <sstream>
 
 namespace bb::reps {
-
-std::string Emitter::emitToString(const core::CompiledChip& chip) const {
-  std::ostringstream os;
-  emit(chip, os);
-  return os.str();
-}
 
 std::string Emitter::emitToString(const core::CompiledChip& chip,
                                   const EmitterOptions& opts) const {
@@ -29,162 +25,127 @@ std::string Emitter::emitToString(const core::CompiledChip& chip,
 
 namespace {
 
-/// The registry-level window/tile/merge knobs as View parameters.
-layout::ViewOptions toViewOptions(const EmitterOptions& o) {
-  return layout::ViewOptions{o.window, o.tileSize, o.mergeTiles, o.clipPolygons};
-}
-
-/// Declarative backend: name/extension/flags plus an emit function, so
-/// each built-in is a table row instead of a subclass. The optional
-/// windowed function makes a backend viewport-aware; without one,
-/// windowed requests fall back to full emission.
+/// Declarative backend: name, extension, description and one emit
+/// function, so each built-in is a table row instead of a subclass.
 class FnEmitter final : public Emitter {
  public:
-  using EmitFn = void (*)(const core::CompiledChip&, std::ostream&);
-  using WindowedEmitFn = void (*)(const core::CompiledChip&, std::ostream&,
-                                  const EmitterOptions&);
+  using EmitFn = void (*)(const core::CompiledChip&, std::ostream&, const EmitterOptions&);
 
-  FnEmitter(std::string_view name, std::string_view ext, std::string_view desc,
-            bool binary, EmitFn fn, WindowedEmitFn wfn = nullptr)
-      : name_(name), ext_(ext), desc_(desc), binary_(binary), fn_(fn), wfn_(wfn) {}
+  FnEmitter(std::string_view name, std::string_view ext, std::string_view desc, EmitFn fn)
+      : name_(name), ext_(ext), desc_(desc), fn_(fn) {}
 
   [[nodiscard]] std::string_view name() const noexcept override { return name_; }
   [[nodiscard]] std::string_view fileExtension() const noexcept override { return ext_; }
-  [[nodiscard]] bool binary() const noexcept override { return binary_; }
   [[nodiscard]] std::string_view description() const noexcept override { return desc_; }
-  void emit(const core::CompiledChip& chip, std::ostream& os) const override {
-    fn_(chip, os);
-  }
   void emit(const core::CompiledChip& chip, std::ostream& os,
             const EmitterOptions& opts) const override {
-    if (wfn_ != nullptr && (opts.windowed() || opts.hierarchical)) {
-      wfn_(chip, os, opts);
-    } else {
-      fn_(chip, os);
-    }
+    fn_(chip, os, opts);
   }
 
  private:
   std::string_view name_, ext_, desc_;
-  bool binary_;
   EmitFn fn_;
-  WindowedEmitFn wfn_;
 };
 
-void emitCif(const core::CompiledChip& chip, std::ostream& os) {
-  os << layout::writeCif(*chip.top);
+/// The View a windowed cif/gds request streams: over the hierarchical
+/// index (only window-touching instances are resolved) or the flatten.
+layout::View viewOf(const core::CompiledChip& chip, const EmitterOptions& opts) {
+  if (opts.hierarchical) return layout::View{chip.hierTop(), opts};
+  return layout::View{chip.flatTop(), opts};
 }
 
-void emitCifWindowed(const core::CompiledChip& chip, std::ostream& os,
-                     const EmitterOptions& opts) {
-  if (opts.hierarchical) {
-    if (opts.windowed()) {
-      // Lazy viewport: the View resolves only window-touching instances.
-      os << layout::writeCif(layout::View{chip.hierTop(), toViewOptions(opts)});
-    } else {
-      os << layout::writeCif(*chip.top);
-    }
-    return;
-  }
-  os << layout::writeCif(chip.flatTop(), toViewOptions(opts));
+void emitCif(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions& opts) {
+  os << (opts.windowed() ? layout::writeCif(viewOf(chip, opts)) : layout::writeCif(*chip.top));
 }
 
-void emitGds(const core::CompiledChip& chip, std::ostream& os) {
-  const std::vector<std::uint8_t> bytes = layout::writeGds(*chip.top);
+void emitGds(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions& opts) {
+  const std::vector<std::uint8_t> bytes =
+      opts.windowed()     ? layout::writeGds(viewOf(chip, opts))
+      : opts.hierarchical ? layout::writeGdsHier(*chip.top)
+                          : layout::writeGds(*chip.top);
   os.write(reinterpret_cast<const char*>(bytes.data()),
            static_cast<std::streamsize>(bytes.size()));
 }
 
-void emitGdsWindowed(const core::CompiledChip& chip, std::ostream& os,
-                     const EmitterOptions& opts) {
-  std::vector<std::uint8_t> bytes;
-  if (opts.hierarchical) {
-    if (opts.windowed()) {
-      // Lazy viewport: the View resolves only window-touching instances.
-      bytes = layout::writeGds(layout::View{chip.hierTop(), toViewOptions(opts)});
-    } else {
-      bytes = layout::writeGdsHier(*chip.top);
-    }
-  } else {
-    bytes = layout::writeGds(chip.flatTop(), toViewOptions(opts));
-  }
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
+void emitSvg(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions& opts) {
+  layout::SvgOptions svg;
+  svg.title = chip.desc.name;
+  svg.pixelsPerUnit = 0.25;
+  svg.view = opts;
+  // The Cell overload draws the boundary outline and bristle markers;
+  // markers outside a window are skipped there.
+  os << layout::renderSvg(*chip.top, chip.flatTop(), svg);
 }
 
-void emitSvg(const core::CompiledChip& chip, std::ostream& os) {
-  layout::SvgOptions opts;
-  opts.title = chip.desc.name;
-  opts.pixelsPerUnit = 0.25;
-  os << layout::renderSvg(*chip.top, chip.flatTop(), opts);
-}
-
-void emitSvgWindowed(const core::CompiledChip& chip, std::ostream& os,
-                     const EmitterOptions& eopts) {
-  layout::SvgOptions opts;
-  opts.title = chip.desc.name;
-  opts.pixelsPerUnit = 0.25;
-  opts.view = toViewOptions(eopts);
-  // The Cell overload keeps the boundary outline and bristle markers of
-  // the plain svg path; markers outside the window are skipped there.
-  os << layout::renderSvg(*chip.top, chip.flatTop(), opts);
-}
-
-void emitSpice(const core::CompiledChip& chip, std::ostream& os) {
+void emitSpice(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions&) {
   netlist::SpiceOptions opts;
   opts.title = chip.desc.name + " extracted netlist";
   os << netlist::writeSpice(chip.coreNetlist(), opts);
 }
 
-void emitSticksSvg(const core::CompiledChip& chip, std::ostream& os) {
-  os << sticksSvg(sticksOf(chip.flatCore()));
+void emitText(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions&) {
+  os << userManual(chip);
 }
 
-void emitSticksSvgWindowed(const core::CompiledChip& chip, std::ostream& os,
-                           const EmitterOptions& opts) {
-  os << sticksSvg(sticksOf(chip.flatCore(), toViewOptions(opts)), 0.5, chip.desc.name);
+void emitSticks(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions&) {
+  os << sticksText(sticksOf(chip.flatCore()));
 }
 
-template <Representation R>
-void emitRepText(const core::CompiledChip& chip, std::ostream& os) {
-  os << generateText(chip, R);
+/// Sticks of the core, windowed in core coordinates.
+void emitSticksSvg(const core::CompiledChip& chip, std::ostream& os,
+                   const EmitterOptions& opts) {
+  os << sticksSvg(sticksOf(chip.flatCore(), opts));
+}
+
+/// The core's netlist (the decoder's stylized loads extract too, but the
+/// core is the electrically faithful part).
+void emitTransistors(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions&) {
+  os << "extracted from core artwork:\n" << chip.coreNetlist().toText();
+}
+
+void emitBlock(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions&) {
+  os << blockDiagram(chip) << '\n' << logicalDiagram(chip);
+}
+
+void emitLogic(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions&) {
+  os << chip.logic.toText();
+}
+
+/// Numbers go through a `TextBuffer`, which ignores the stream's locale.
+void emitSimulation(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions&) {
+  geom::TextBuffer buf;
+  buf << "simulation model: " << chip.logic.gates().size() << " gates over "
+      << chip.logic.signalCount() << " signals\n";
+  for (const auto& [kind, n] : chip.logic.histogram()) {
+    buf << "  " << kind << ": " << n << "\n";
+  }
+  buf << "drive mc0.." << chip.desc.microcode.width - 1
+      << " and clock phi1/phi2 to execute microcode; buses busA<i>/busB<i>.\n";
+  os << buf.take();
 }
 
 }  // namespace
 
 void registerBuiltinEmitters(EmitterRegistry& reg) {
-  reg.add(std::make_unique<FnEmitter>(
-      "cif", "cif", "CIF 2.0 mask set (the 1979 deliverable)", false, &emitCif,
-      &emitCifWindowed));
-  reg.add(std::make_unique<FnEmitter>(
-      "gds", "gds", "GDSII stream for modern downstream tools", true, &emitGds,
-      &emitGdsWindowed));
-  reg.add(std::make_unique<FnEmitter>(
-      "svg", "svg", "human-viewable layout, Mead-Conway colours", false, &emitSvg,
-      &emitSvgWindowed));
-  reg.add(std::make_unique<FnEmitter>(
-      "spice", "sp", "SPICE deck of the extracted core netlist", false, &emitSpice));
-  reg.add(std::make_unique<FnEmitter>(
-      "text", "txt", "hierarchical user's manual", false,
-      &emitRepText<Representation::Text>));
-  reg.add(std::make_unique<FnEmitter>(
-      "sticks", "txt", "single-width-line topology diagram", false,
-      &emitRepText<Representation::Sticks>));
-  reg.add(std::make_unique<FnEmitter>(
-      "sticks-svg", "svg", "sticks topology diagram, rendered", false,
-      &emitSticksSvg, &emitSticksSvgWindowed));
-  reg.add(std::make_unique<FnEmitter>(
-      "transistors", "txt", "extracted transistor diagram", false,
-      &emitRepText<Representation::Transistors>));
-  reg.add(std::make_unique<FnEmitter>(
-      "block", "txt", "block diagram of buses and core elements", false,
-      &emitRepText<Representation::Block>));
-  reg.add(std::make_unique<FnEmitter>(
-      "logic", "txt", "TTL-style logic model listing", false,
-      &emitRepText<Representation::Logic>));
-  reg.add(std::make_unique<FnEmitter>(
-      "simulation", "txt", "executable logic model summary", false,
-      &emitRepText<Representation::Simulation>));
+  const struct {
+    std::string_view name, ext, desc;
+    FnEmitter::EmitFn fn;
+  } builtins[] = {
+      {"cif", "cif", "CIF 2.0 mask set (the 1979 deliverable)", &emitCif},
+      {"gds", "gds", "GDSII stream for modern downstream tools", &emitGds},
+      {"svg", "svg", "human-viewable layout, Mead-Conway colours", &emitSvg},
+      {"spice", "sp", "SPICE deck of the extracted core netlist", &emitSpice},
+      {"text", "txt", "hierarchical user's manual", &emitText},
+      {"sticks", "txt", "single-width-line topology diagram", &emitSticks},
+      {"sticks-svg", "svg", "sticks topology diagram, rendered", &emitSticksSvg},
+      {"transistors", "txt", "extracted transistor diagram", &emitTransistors},
+      {"block", "txt", "block diagram of buses and core elements", &emitBlock},
+      {"logic", "txt", "TTL-style logic model listing", &emitLogic},
+      {"simulation", "txt", "executable logic model summary", &emitSimulation},
+  };
+  for (const auto& b : builtins) {
+    reg.add(std::make_unique<FnEmitter>(b.name, b.ext, b.desc, b.fn));
+  }
 }
 
 EmitterRegistry& EmitterRegistry::global() {
@@ -227,14 +188,6 @@ std::vector<std::string_view> EmitterRegistry::names() const {
 std::size_t EmitterRegistry::size() const {
   const std::shared_lock<std::shared_mutex> lock(mu_);
   return emitters_.size();
-}
-
-bool EmitterRegistry::emit(const core::CompiledChip& chip, std::string_view name,
-                           std::ostream& os) const {
-  const Emitter* e = find(name);
-  if (e == nullptr) return false;
-  e->emit(chip, os);
-  return true;
 }
 
 bool EmitterRegistry::emit(const core::CompiledChip& chip, std::string_view name,

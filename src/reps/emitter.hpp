@@ -1,20 +1,21 @@
 /// \file emitter.hpp
-/// One interface for every output path. The seed scattered five ways of
-/// getting artifacts out of a compiled chip (CIF and GDS writers, the
-/// SVG renderer, the SPICE deck, and the text/sticks/block
-/// representations) behind five unrelated signatures; the `Emitter`
-/// registry unifies them: every backend is discoverable by name and
-/// writes to a `std::ostream`, so tools can enumerate and select output
-/// formats at run time.
+/// The one way out of a compiled chip. The paper's compiler turns a chip
+/// into seven representations (Layout, Sticks, Transistors, Logic, Text,
+/// Simulation, Block); the `Emitter` registry writes all of them, in
+/// eleven formats: layout as cif, gds and svg; sticks as sticks and
+/// sticks-svg; transistors as transistors and the spice deck; and text,
+/// logic, simulation and block one each. Every backend is discoverable
+/// by name, writes to a `std::ostream` through one `emit`, and takes
+/// one `EmitterOptions`, so tools enumerate and select formats at run
+/// time and stream viewports through the same call.
 
 #pragma once
 
 #include "core/chip.hpp"
-#include "geom/geometry.hpp"
+#include "layout/view.hpp"
 
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -22,34 +23,22 @@
 
 namespace bb::reps {
 
-/// Windowed-emission parameters, plumbed through the registry so any
-/// emitter can stream a viewport of a `CompileSession` result. The
-/// geometry backends (cif, gds, svg, sticks-svg) honour these via
-/// `layout::View`; non-geometry backends (spice, text, ...) ignore them.
-/// Default-constructed options mean full-chip emission and are
-/// bit-identical to the plain `emit(chip, os)` path.
-struct EmitterOptions {
-  /// Viewport in layout coordinates (chip coordinates for cif/gds/svg,
-  /// core coordinates for sticks-svg). Unset: the whole artwork.
-  std::optional<geom::Rect> window;
-  /// Streaming tile pitch; 0 = one tile covering the window.
-  geom::Coord tileSize = 0;
-  /// Merge each tile's rects into disjoint maximal pieces.
-  bool mergeTiles = false;
-  /// Clip window-crossing polygons to the window (`geom::poly`); off
-  /// keeps the pre-clip reference behavior (bbox filter, emit whole).
-  bool clipPolygons = true;
+/// The window/tile/merge fields of `layout::ViewOptions` plus the
+/// hierarchical switch. The geometry backends honour them through
+/// `layout::View` (cif, gds and svg in chip coordinates, sticks-svg in
+/// core coordinates); the others ignore them. Default-constructed
+/// options mean full-chip emission.
+struct EmitterOptions : layout::ViewOptions {
   /// Route geometry through the chip's hierarchical index instead of the
-  /// full flatten. Full-chip cif/gds become `writeCif(Cell)`/`writeGdsHier`
-  /// (symbol calls / SREF+AREF, never a flattened copy); windowed cif/gds
-  /// open the `View` over `CompiledChip::hierTop()`, so the viewport
-  /// resolves only window-touching instances. Non-geometry backends (and
-  /// svg, which renders from the cell tree already) ignore it.
+  /// full flatten. Full-chip gds becomes `writeGdsHier` (SREF+AREF);
+  /// windowed cif/gds open the `View` over `CompiledChip::hierTop()`, so
+  /// the viewport resolves only window-touching instances. Full-chip cif
+  /// is the symbol-call writer either way; the other backends ignore it.
   bool hierarchical = false;
 
-  /// True when any windowing/streaming behaviour was requested.
+  /// True when a window, tiling or merging was requested.
   [[nodiscard]] bool windowed() const noexcept {
-    return window.has_value() || tileSize > 0 || mergeTiles;
+    return window.has_value() || tileSize > 0 || merge;
   }
 };
 
@@ -61,28 +50,17 @@ class Emitter {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
   /// Suggested file extension (no dot), e.g. "cif", "sp", "svg".
   [[nodiscard]] virtual std::string_view fileExtension() const noexcept = 0;
-  /// True when the output is a byte stream (GDSII), not text.
-  [[nodiscard]] virtual bool binary() const noexcept { return false; }
   /// One-line human description for listings.
   [[nodiscard]] virtual std::string_view description() const noexcept = 0;
 
-  /// Write the chip's artifact in this format.
-  virtual void emit(const core::CompiledChip& chip, std::ostream& os) const = 0;
-
-  /// Windowed emission. The default implementation ignores the options
-  /// and emits the full artifact, so emitters without a geometric
-  /// output need not override; the built-in geometry backends stream
-  /// the requested viewport through `layout::View`.
+  /// Write the chip's artifact in this format; geometry backends stream
+  /// the viewport `opts` describes.
   virtual void emit(const core::CompiledChip& chip, std::ostream& os,
-                    const EmitterOptions& opts) const {
-    (void)opts;
-    emit(chip, os);
-  }
+                    const EmitterOptions& opts) const = 0;
 
   /// Convenience: emit to a string.
-  [[nodiscard]] std::string emitToString(const core::CompiledChip& chip) const;
   [[nodiscard]] std::string emitToString(const core::CompiledChip& chip,
-                                         const EmitterOptions& opts) const;
+                                         const EmitterOptions& opts = {}) const;
 };
 
 /// Name -> emitter. The global registry is pre-populated with every
@@ -110,11 +88,8 @@ class EmitterRegistry {
   [[nodiscard]] std::size_t size() const;
 
   /// Emit by name; false when the name is unknown.
-  bool emit(const core::CompiledChip& chip, std::string_view name, std::ostream& os) const;
-  /// Windowed emit by name — streams the viewport described by `opts`
-  /// (geometry backends honour it, others emit in full).
   bool emit(const core::CompiledChip& chip, std::string_view name, std::ostream& os,
-            const EmitterOptions& opts) const;
+            const EmitterOptions& opts = {}) const;
 
  private:
   mutable std::shared_mutex mu_;

@@ -26,8 +26,10 @@ std::vector<Stick> sticksOf(const cell::FlatLayout& flat, const layout::ViewOpti
       }
     });
   }
-  for (const auto& [l, p] : v.polygons()) {
-    const geom::Rect r = p->bbox();
+  // The window-clipped polygon pieces the mask writers emit, so a
+  // polygon's stick never reaches outside the window.
+  for (const auto& [l, p] : v.windowPolygons()) {
+    const geom::Rect r = p.bbox();
     out.push_back(Stick{l, {r.x0, (r.y0 + r.y1) / 2}, {r.x1, (r.y0 + r.y1) / 2}});
   }
   return out;

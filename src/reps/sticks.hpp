@@ -24,10 +24,12 @@ struct Stick {
 
 /// Reduce flattened artwork to sticks: every rectangle becomes its long
 /// centerline (squares become points, kept as zero-length sticks so
-/// contacts stay visible). Geometry streams from a `layout::View` over
-/// the per-layer spatial indexes, so `view` can restrict the diagram to
-/// a viewport window (and/or merge rects first); the default view is the
-/// whole artwork and reproduces the raw-vector walk exactly.
+/// contacts stay visible), and every polygon its bbox's horizontal
+/// centerline. Geometry streams from a `layout::View` over the per-layer
+/// spatial indexes, so `view` can restrict the diagram to a viewport
+/// window (and/or merge rects first); polygons are window-clipped first,
+/// as in the mask writers. The default view is the whole artwork and
+/// reproduces the raw-vector walk exactly.
 [[nodiscard]] std::vector<Stick> sticksOf(const cell::FlatLayout& flat,
                                           const layout::ViewOptions& view = {});
 

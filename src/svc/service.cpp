@@ -291,13 +291,7 @@ EmitResponse CompileService::viewport(const ViewportRequest& req) {
     const std::lock_guard<std::mutex> lock(mu_);
     ++stats_.viewportRequests;
   }
-  reps::EmitterOptions eopts;
-  eopts.window = req.window;
-  eopts.tileSize = req.tileSize;
-  eopts.mergeTiles = req.mergeTiles;
-  eopts.clipPolygons = req.clipPolygons;
-  eopts.hierarchical = req.hierarchical;
-  return emitImpl(req.chip, req.format, eopts);
+  return emitImpl(req.chip, req.format, req);
 }
 
 ServiceStats CompileService::stats() const {

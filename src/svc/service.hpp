@@ -17,10 +17,11 @@
 ///    claimed keys as whole jobs in one `parallelFor` on the
 ///    process-shared `core::ThreadPool`, then hands each same-batch twin
 ///    its claimant's chip;
-///  * `viewport` answers pan/zoom requests on cached chips by streaming
-///    `layout::View` tiles through the `reps::EmitterOptions` path — a
-///    warm viewport request runs zero compile stages (asserted by tests
-///    and the service load bench via `ServiceStats::compilesExecuted`).
+///  * `viewport` answers pan/zoom requests on cached chips by passing
+///    the request's `reps::EmitterOptions` straight to the emitter
+///    registry, which streams `layout::View` tiles — a warm viewport
+///    request runs zero compile stages (asserted by tests and the
+///    service load bench via `ServiceStats::compilesExecuted`).
 ///
 /// Thread safety: every public method may be called concurrently, from
 /// client threads. The invariant that keeps the shared pool
@@ -138,24 +139,16 @@ struct LintResponse {
   [[nodiscard]] bool ok() const noexcept { return report != nullptr; }
 };
 
-/// A viewport (pan/zoom) request: identifies a chip like a compile
-/// request, plus the window to stream and the format to stream it in.
-struct ViewportRequest {
+/// A viewport (pan/zoom) request: the emitter options (window, tile
+/// pitch, merging, `hierarchical`) plus the chip, identified like a
+/// compile request, and the format to stream it in. Prewarmed chips
+/// build the hierarchical index before entering the cache, so a warm
+/// `hierarchical` viewport, which resolves only the instances touching
+/// the window (`cell::HierIndex::instancesMaterialized`), still runs
+/// zero compile stages and const reads only.
+struct ViewportRequest : reps::EmitterOptions {
   CompileRequest chip;
   std::string format = "cif";  ///< any registered emitter name
-  std::optional<geom::Rect> window;  ///< unset = whole artwork
-  geom::Coord tileSize = 0;
-  bool mergeTiles = false;
-  /// Clip window-crossing polygons to the window (`geom::poly`); off
-  /// streams whole bbox-touching polygons (the pre-clip behavior).
-  bool clipPolygons = true;
-  /// Serve the window from the chip's hierarchical index
-  /// (`CompiledChip::hierTop`) instead of the full flatten: only the
-  /// instances whose bboxes touch the window are resolved (asserted via
-  /// `cell::HierIndex::instancesMaterialized`). Prewarmed chips build
-  /// the index before entering the cache, so a warm hierarchical
-  /// viewport still runs zero compile stages and const reads only.
-  bool hierarchical = false;
 };
 
 struct EmitResponse {
@@ -226,7 +219,7 @@ class CompileService {
   [[nodiscard]] LintResponse lint(const LintRequest& req);
 
   /// The map-server endpoint: stream the requested window of the chip's
-  /// artwork, tile by tile, through the windowed emitter path. On a warm
+  /// artwork, tile by tile, through the emitter registry. On a warm
   /// cache this runs zero compile stages — pan/zoom over a compiled chip
   /// costs only index queries over the window's geometry.
   [[nodiscard]] EmitResponse viewport(const ViewportRequest& req);

@@ -375,7 +375,10 @@ class NoopEmitter final : public reps::Emitter {
   [[nodiscard]] std::string_view name() const noexcept override { return name_; }
   [[nodiscard]] std::string_view fileExtension() const noexcept override { return "txt"; }
   [[nodiscard]] std::string_view description() const noexcept override { return "noop"; }
-  void emit(const core::CompiledChip&, std::ostream& os) const override { os << "noop"; }
+  void emit(const core::CompiledChip&, std::ostream& os,
+            const reps::EmitterOptions&) const override {
+    os << "noop";
+  }
 
  private:
   std::string name_;

@@ -236,7 +236,7 @@ TEST(Emitters, EveryRegisteredEmitterProducesOutput) {
     EXPECT_FALSE(e->description().empty()) << name;
 
     std::ostringstream os;
-    e->emit(chip, os);
+    e->emit(chip, os, {});
     EXPECT_FALSE(os.str().empty()) << "emitter '" << name << "' wrote nothing";
   }
 }
@@ -260,7 +260,8 @@ TEST(Emitters, EmitByNameAndShadowing) {
     [[nodiscard]] std::string_view description() const noexcept override {
       return "test stand-in";
     }
-    void emit(const core::CompiledChip&, std::ostream& out) const override {
+    void emit(const core::CompiledChip&, std::ostream& out,
+              const reps::EmitterOptions&) const override {
       out << "(null)";
     }
   };

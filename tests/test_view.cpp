@@ -1,8 +1,8 @@
 /// The windowed-emission layer: layout::View tile streaming, the golden
 /// equivalence suite (full emission vs window == bbox emission must be
 /// byte-identical for cif/gds/svg, merged mode area-identical to
-/// unmerged), polygon window filtering, XML escaping, and the
-/// EmitterOptions plumbing through the registry.
+/// unmerged), polygon window clipping, XML escaping, and the
+/// EmitterOptions dispatch through the registry.
 
 #include "core/samples.hpp"
 #include "core/session.hpp"
@@ -237,7 +237,7 @@ TEST(View, EmptyLayoutAndEmptyWindow) {
                   bb.y1 + lambda(110)};  // fully off-chip
   const View off{full, w};
   for (Layer l : tech::kAllLayers) EXPECT_TRUE(off.rectsOn(l).empty());
-  EXPECT_TRUE(off.polygons().empty());
+  EXPECT_TRUE(off.windowPolygons().empty());
 }
 
 // ----------------------------------------- golden equivalence: the writers
@@ -338,19 +338,19 @@ std::vector<reps::Stick> refSticks(const FlatLayout& flat) {
 
 TEST(GoldenEquivalence, CifFullEqualsWindowBboxEqualsPreRefactor) {
   const FlatLayout flat = makeFlat(300);
-  const std::string full = layout::writeCif(flat, ViewOptions{});
+  const std::string full = layout::writeCif(View{flat});
   ViewOptions w;
   w.window = flat.bbox();
-  EXPECT_EQ(full, layout::writeCif(flat, w));
+  EXPECT_EQ(full, layout::writeCif(View{flat, w}));
   EXPECT_EQ(full, refCifFlat(flat));
 }
 
 TEST(GoldenEquivalence, GdsFullEqualsWindowBbox) {
   const FlatLayout flat = makeFlat(300);
-  const auto full = layout::writeGds(flat, ViewOptions{});
+  const auto full = layout::writeGds(View{flat});
   ViewOptions w;
   w.window = flat.bbox();
-  EXPECT_EQ(full, layout::writeGds(flat, w));
+  EXPECT_EQ(full, layout::writeGds(View{flat, w}));
   const layout::GdsStats st = layout::gdsStats(full);
   EXPECT_TRUE(st.wellFormed);
   EXPECT_EQ(st.structures, 1u);
@@ -374,7 +374,7 @@ TEST(GoldenEquivalence, MergedCifIsAreaIdenticalPerLayer) {
   // Parse the merged CIF back and compare per-layer union areas with the
   // unmerged artwork: merging must never change the mask.
   cell::CellLibrary lib;
-  const layout::CifParseResult res = layout::parseCif(layout::writeCif(flat, m), lib);
+  const layout::CifParseResult res = layout::parseCif(layout::writeCif(View{flat, m}), lib);
   ASSERT_TRUE(res.ok) << res.error;
   const FlatLayout back = cell::flatten(*res.top);
   for (Layer l : tech::kAllLayers) {
@@ -414,12 +414,11 @@ TEST(PolygonWindow, ImportedPolygonIsNeverSilentlyDropped) {
   ASSERT_EQ(flat.polygons.size(), 1u);
 
   // A window that clips the polygon (covers only its corner): the
-  // default clipPolygons policy emits the window-clipped piece — still
-  // never silently dropped, but no longer the whole ring.
+  // window-clipped piece is emitted — never silently dropped, but not
+  // the whole ring either.
   ViewOptions w;
   w.window = Rect{60, 60, 120, 120};
   const View v{flat, w};
-  ASSERT_EQ(v.polygons().size(), 1u);
   ASSERT_EQ(v.windowPolygons().size(), 1u);
   // Every clipped vertex lies inside the window.
   for (const auto& [pl, piece] : v.windowPolygons()) {
@@ -427,38 +426,44 @@ TEST(PolygonWindow, ImportedPolygonIsNeverSilentlyDropped) {
     for (geom::Point q : piece.pts) EXPECT_TRUE(w.window->contains(q));
   }
 
-  const std::string cif = layout::writeCif(flat, w);
+  const std::string cif = layout::writeCif(v);
   EXPECT_NE(cif.find("P "), std::string::npos);            // a piece is emitted
   EXPECT_EQ(cif.find("P 0 0 80 0 80 80;"), std::string::npos);  // ...clipped
   // The off-window box (bbox around x=200) is not emitted...
   EXPECT_EQ(cif.find("B 8 8 200 4;"), std::string::npos);
 
-  // clipPolygons=false is the pre-clip reference: the polygon whole,
-  // byte-identical to the old walk.
-  ViewOptions wRef = w;
-  wRef.clipPolygons = false;
-  const std::string cifRef = layout::writeCif(flat, wRef);
-  EXPECT_NE(cifRef.find("P 0 0 80 0 80 80;"), std::string::npos);
-  EXPECT_EQ(cifRef.find("B 8 8 200 4;"), std::string::npos);
-
   layout::SvgOptions so;
   so.view = w;
   EXPECT_NE(layout::renderSvg(flat, {}, so).find("<polygon"), std::string::npos);
 
-  const auto gds = layout::writeGds(flat, w);
+  const auto gds = layout::writeGds(v);
   const layout::GdsStats st = layout::gdsStats(gds);
   EXPECT_TRUE(st.wellFormed);
   EXPECT_EQ(st.boundaries, 1u);  // the clipped piece, not the far-away box
-  const layout::GdsStats stRef = layout::gdsStats(layout::writeGds(flat, wRef));
-  EXPECT_TRUE(stRef.wellFormed);
-  EXPECT_EQ(stRef.boundaries, 1u);  // the whole polygon in reference mode
 
-  // A window fully away from the polygon excludes it in both modes.
+  // A window fully away from the polygon excludes it.
   ViewOptions far;
   far.window = Rect{196, 0, 204, 8};
-  EXPECT_EQ(layout::writeCif(flat, far).find("P 0 0"), std::string::npos);
-  EXPECT_EQ(View(flat, far).polygons().size(), 0u);
+  EXPECT_EQ(layout::writeCif(View{flat, far}).find("P 0 0"), std::string::npos);
   EXPECT_EQ(View(flat, far).windowPolygons().size(), 0u);
+}
+
+TEST(PolygonWindow, WindowedSticksStayInsideTheWindow) {
+  cell::CellLibrary lib;
+  const layout::CifParseResult res = layout::parseCif(kPolyCif, lib);
+  ASSERT_TRUE(res.ok) << res.error;
+  const FlatLayout flat = cell::flatten(*res.top);
+
+  // The window covers only the polygon's corner, so its stick comes from
+  // the clipped piece, not from the whole ring's bbox.
+  ViewOptions w;
+  w.window = Rect{60, 60, 120, 120};
+  const std::vector<reps::Stick> sticks = reps::sticksOf(flat, w);
+  ASSERT_FALSE(sticks.empty());
+  for (const reps::Stick& s : sticks) {
+    EXPECT_TRUE(w.window->contains(s.a) && w.window->contains(s.b))
+        << "stick (" << s.a.x << "," << s.a.y << ")-(" << s.b.x << "," << s.b.y << ")";
+  }
 }
 
 TEST(PolygonWindow, TiledEmissionEmitsSpanningPolygonExactlyOnce) {
@@ -479,12 +484,12 @@ TEST(PolygonWindow, TiledEmissionEmitsSpanningPolygonExactlyOnce) {
   std::size_t owned = 0;
   for (std::size_t ty = 0; ty < v.tilesY(); ++ty) {
     for (std::size_t tx = 0; tx < v.tilesX(); ++tx) {
-      owned += v.polygonsOwnedBy(tx, ty).size();
+      owned += v.windowPolygonsOwnedBy(tx, ty).size();
     }
   }
   EXPECT_EQ(owned, 1u);
 
-  const std::string cif = layout::writeCif(flat, w);
+  const std::string cif = layout::writeCif(v);
   std::size_t pRecords = 0;
   for (auto pos = cif.find("P 0 0"); pos != std::string::npos;
        pos = cif.find("P 0 0", pos + 1)) {
@@ -492,7 +497,7 @@ TEST(PolygonWindow, TiledEmissionEmitsSpanningPolygonExactlyOnce) {
   }
   EXPECT_EQ(pRecords, 1u);
 
-  const auto gds = layout::writeGds(flat, w);
+  const auto gds = layout::writeGds(v);
   const layout::GdsStats st = layout::gdsStats(gds);
   EXPECT_TRUE(st.wellFormed);
   // One BOUNDARY for the polygon plus one per rect — no tile duplicates.
@@ -541,7 +546,7 @@ TEST(XmlEscape, PortLabelsAndTitlesAreEscapedInSvg) {
   EXPECT_NE(ssvg.find("<title>s&lt;&amp;&gt;t</title>"), std::string::npos);
 }
 
-// ------------------------------------------- EmitterOptions plumbing
+// -------------------------------------------- EmitterOptions dispatch
 
 class EmitterWindowing : public ::testing::Test {
  protected:
@@ -559,13 +564,51 @@ class EmitterWindowing : public ::testing::Test {
 
 core::CompiledChip* EmitterWindowing::chip_ = nullptr;
 
-TEST_F(EmitterWindowing, DefaultOptionsAreByteIdenticalToPlainEmit) {
+TEST_F(EmitterWindowing, EachBackendDispatchesToItsWriter) {
+  // One emit per backend: under every option set, each geometry backend
+  // writes exactly what its writer, called directly, writes.
+  const core::CompiledChip& chip = *chip_;
+  const Rect bb = chip.flatTop().bbox();
+  reps::EmitterOptions full;
+  reps::EmitterOptions windowed;
+  windowed.window = Rect{bb.x0 + bb.width() / 4, bb.y0 + bb.height() / 4,
+                         bb.x0 + bb.width() / 2, bb.y0 + bb.height() / 2};
+  windowed.tileSize = lambda(100);
+  reps::EmitterOptions hier;
+  hier.hierarchical = true;
+  reps::EmitterOptions hierWindowed = windowed;
+  hierWindowed.hierarchical = true;
+
+  const auto bytes = [](const std::vector<std::uint8_t>& b) {
+    return std::string(b.begin(), b.end());
+  };
+  const struct {
+    const char* label;
+    const reps::EmitterOptions& opts;
+    std::string cif, gds;
+  } cases[] = {
+      {"full", full, layout::writeCif(*chip.top), bytes(layout::writeGds(*chip.top))},
+      {"windowed", windowed, layout::writeCif(View{chip.flatTop(), windowed}),
+       bytes(layout::writeGds(View{chip.flatTop(), windowed}))},
+      {"hierarchical", hier, layout::writeCif(*chip.top), bytes(layout::writeGdsHier(*chip.top))},
+      {"hierarchical+windowed", hierWindowed, layout::writeCif(View{chip.hierTop(), hierWindowed}),
+       bytes(layout::writeGds(View{chip.hierTop(), hierWindowed}))},
+  };
   const reps::EmitterRegistry& reg = reps::EmitterRegistry::global();
-  for (const std::string_view name : reg.names()) {
-    const reps::Emitter* e = reg.find(name);
-    ASSERT_NE(e, nullptr) << name;
-    EXPECT_EQ(e->emitToString(*chip_), e->emitToString(*chip_, reps::EmitterOptions{}))
-        << "emitter '" << name << "' changed output for default options";
+  for (const auto& c : cases) {
+    layout::SvgOptions svg;
+    svg.title = chip.desc.name;
+    svg.pixelsPerUnit = 0.25;
+    svg.view = c.opts;
+    const std::string sticksSvg = reps::sticksSvg(reps::sticksOf(chip.flatCore(), c.opts));
+    // EXPECT_TRUE keeps a mismatch report short: the documents are large.
+    EXPECT_TRUE(reg.find("cif")->emitToString(chip, c.opts) == c.cif) << c.label;
+    EXPECT_TRUE(reg.find("gds")->emitToString(chip, c.opts) == c.gds) << c.label;
+    EXPECT_TRUE(reg.find("svg")->emitToString(chip, c.opts) ==
+                layout::renderSvg(*chip.top, chip.flatTop(), svg))
+        << c.label;
+    EXPECT_TRUE(reg.find("sticks-svg")->emitToString(chip, c.opts) == sticksSvg) << c.label;
+    EXPECT_NE(sticksSvg.find("<line"), std::string::npos) << c.label;
   }
 }
 
@@ -577,7 +620,7 @@ TEST_F(EmitterWindowing, WindowedGeometryEmittersAreOutputSensitive) {
   for (const char* name : {"cif", "gds", "svg"}) {
     const reps::Emitter* e = reg.find(name);
     ASSERT_NE(e, nullptr) << name;
-    const std::string full = e->emitToString(*chip_, reps::EmitterOptions{});
+    const std::string full = e->emitToString(*chip_);
     const std::string windowed = e->emitToString(*chip_, small);
     EXPECT_FALSE(windowed.empty()) << name;
     EXPECT_LT(windowed.size(), full.size()) << name;
@@ -598,7 +641,7 @@ TEST_F(EmitterWindowing, WindowedGeometryEmittersAreOutputSensitive) {
 
 TEST_F(EmitterWindowing, MergedEmissionPreservesMaskArea) {
   reps::EmitterOptions merged;
-  merged.mergeTiles = true;
+  merged.merge = true;
   merged.tileSize = lambda(100);
   std::ostringstream os;
   ASSERT_TRUE(reps::EmitterRegistry::global().emit(*chip_, "cif", os, merged));
@@ -617,28 +660,15 @@ TEST_F(EmitterWindowing, NonGeometryEmittersIgnoreWindowing) {
   const reps::EmitterRegistry& reg = reps::EmitterRegistry::global();
   reps::EmitterOptions w;
   w.window = Rect{0, 0, lambda(10), lambda(10)};
-  for (const char* name : {"spice", "text", "block", "logic"}) {
+  w.tileSize = lambda(4);
+  w.merge = true;
+  w.hierarchical = true;
+  for (const char* name :
+       {"spice", "text", "block", "logic", "simulation", "transistors", "sticks"}) {
     const reps::Emitter* e = reg.find(name);
     ASSERT_NE(e, nullptr) << name;
     EXPECT_EQ(e->emitToString(*chip_), e->emitToString(*chip_, w)) << name;
   }
-}
-
-TEST_F(EmitterWindowing, CustomEmitterWithoutOverrideFallsBack) {
-  class Plain final : public reps::Emitter {
-   public:
-    [[nodiscard]] std::string_view name() const noexcept override { return "plain"; }
-    [[nodiscard]] std::string_view fileExtension() const noexcept override { return "txt"; }
-    [[nodiscard]] std::string_view description() const noexcept override { return "test"; }
-    void emit(const core::CompiledChip&, std::ostream& os) const override { os << "full"; }
-  };
-  reps::EmitterRegistry local;
-  local.add(std::make_unique<Plain>());
-  std::ostringstream os;
-  reps::EmitterOptions w;
-  w.window = Rect{0, 0, 1, 1};
-  ASSERT_TRUE(local.emit(*chip_, "plain", os, w));
-  EXPECT_EQ(os.str(), "full");
 }
 
 TEST(SessionStreaming, ViewportEmissionFromCompileSessionResult) {
