@@ -7,8 +7,11 @@
 ///
 /// The gate: per-call overhead through the warm pool must be at least
 /// 5x lower than spawn-per-call (skipped on single-core boxes, where
-/// neither scheduler goes parallel). Rows land in BENCH.json as
-/// `pool_spawn_call` / `pool_persistent_call` / `pool_nested`.
+/// neither scheduler goes parallel). The two schedulers are timed in
+/// interleaved rounds, alternating which goes first, and the gate
+/// compares their median rounds, so one round disturbed by the host
+/// cannot fail it. Rows land in BENCH.json as `pool_spawn_call` /
+/// `pool_persistent_call` (each the median round) / `pool_nested`.
 ///
 /// Env knobs: BB_BENCH_SMOKE=1 shrinks call counts for CI (and skips
 /// the google-benchmark timings).
@@ -34,6 +37,7 @@ namespace {
 constexpr std::size_t kJobsPerCall = 64;
 constexpr std::size_t kGrain = 8;
 constexpr unsigned kWidth = 4;
+constexpr std::size_t kRounds = 15;  ///< timed rounds per scheduler (odd: one median)
 
 /// The pre-pool scheduler, verbatim shape: spawn fresh threads, pull
 /// jobs off a shared cursor, join. Kept here as the bench's reference.
@@ -73,8 +77,13 @@ double timeCalls(std::size_t calls, const std::function<std::uint64_t()>& call) 
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2), v.end());
+  return v[v.size() / 2];
+}
+
 void printTable(bool smoke) {
-  const std::size_t calls = smoke ? 50 : 2000;
+  const std::size_t calls = smoke ? 100 : 500;  // per round
   core::ThreadPool& pool = core::ThreadPool::global();
 
   const auto spawnCall = [] {
@@ -87,8 +96,15 @@ void printTable(bool smoke) {
   };
 
   (void)poolCall();  // warm the pool: spawn the workers outside the timing
-  const double tSpawn = timeCalls(calls, spawnCall);
-  const double tPool = timeCalls(calls, poolCall);
+  std::vector<double> spawnRounds, poolRounds;
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    // Alternate the order, so neither scheduler always runs second.
+    if (r % 2 == 0) spawnRounds.push_back(timeCalls(calls, spawnCall));
+    poolRounds.push_back(timeCalls(calls, poolCall));
+    if (r % 2 == 1) spawnRounds.push_back(timeCalls(calls, spawnCall));
+  }
+  const double tSpawn = median(spawnRounds);
+  const double tPool = median(poolRounds);
   const double nsSpawn = tSpawn * 1e9 / static_cast<double>(calls);
   const double nsPool = tPool * 1e9 / static_cast<double>(calls);
 
@@ -112,8 +128,8 @@ void printTable(bool smoke) {
   const double tNested =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - tn0).count();
 
-  std::printf("== POOL: per-call overhead, %zu-job loops, width %u ==\n",
-              kJobsPerCall, kWidth);
+  std::printf("== POOL: per-call overhead, %zu-job loops, width %u, median of %zu rounds ==\n",
+              kJobsPerCall, kWidth, kRounds);
   std::printf("%-28s %12s %14s\n", "scheduler", "ns/call", "calls/sec");
   std::printf("%-28s %12.0f %14.0f\n", "spawn per call", nsSpawn,
               static_cast<double>(calls) / tSpawn);

@@ -189,7 +189,7 @@ inline std::unique_ptr<core::CompiledChip> compile(const std::string& src,
   return std::move(*result);
 }
 
-/// Typed-description frontend: no parse stage, same pipeline.
+/// Typed-description frontend: no text to parse, same pipeline.
 inline std::unique_ptr<core::CompiledChip> compile(const icl::ChipDesc& desc,
                                                    core::CompileOptions opts = {}) {
   auto result = core::compileChip(desc, std::move(opts));

@@ -10,7 +10,7 @@
 ///      as one page of it),
 ///   2. open a CompileSession on the description and run the staged
 ///      pipeline (parse -> vote -> pass1 -> pass2 -> pass3 -> finalize;
-///      parse is a no-op for a typed description), watching each stage
+///      parse adopts and validates a typed description), watching each stage
 ///      through a PassObserver,
 ///   3. emit the mask set and every other artifact through the
 ///      unified Emitter registry — each backend discoverable by name.

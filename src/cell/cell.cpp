@@ -66,13 +66,6 @@ geom::Rect Shape::bbox() const noexcept {
       geo);
 }
 
-void Cell::addWire(tech::Layer l, geom::Point a, geom::Point b, geom::Coord w) {
-  geom::Path p;
-  p.width = w;
-  p.pts = {a, b};
-  addPath(l, std::move(p));
-}
-
 void Cell::addContact(geom::Point c, tech::Layer lower, tech::Layer upper) {
   const auto& comp = tech::meadConwayRules().composite;
   const geom::Coord cut = comp.contactSize;
@@ -80,15 +73,6 @@ void Cell::addContact(geom::Point c, tech::Layer lower, tech::Layer upper) {
   addRect(tech::Layer::Contact, geom::Rect::fromCenter(c, cut, cut));
   addRect(lower, geom::Rect::fromCenter(c, cut + 2 * sur, cut + 2 * sur));
   addRect(upper, geom::Rect::fromCenter(c, cut + 2 * sur, cut + 2 * sur));
-}
-
-void Cell::addBuriedContact(geom::Point c) {
-  const auto& comp = tech::meadConwayRules().composite;
-  const geom::Coord cut = comp.contactSize;
-  const geom::Coord sur = comp.contactSurround;
-  addRect(tech::Layer::Buried, geom::Rect::fromCenter(c, cut + 2 * sur, cut + 2 * sur));
-  addRect(tech::Layer::Poly, geom::Rect::fromCenter(c, cut + 2 * sur, cut + 2 * sur));
-  addRect(tech::Layer::Diffusion, geom::Rect::fromCenter(c, cut + 2 * sur, cut + 2 * sur));
 }
 
 void Cell::addInstance(const Cell* c, geom::Transform t, std::string instName) {
@@ -132,13 +116,6 @@ std::size_t Cell::totalShapeCount() const noexcept {
   std::size_t n = shapes_.size();
   for (const Instance& i : instances_) n += i.cell->totalShapeCount();
   return n;
-}
-
-const Bristle* Cell::findBristle(std::string_view bname) const noexcept {
-  for (const Bristle& b : bristles_) {
-    if (b.name == bname) return &b;
-  }
-  return nullptr;
 }
 
 }  // namespace bb::cell

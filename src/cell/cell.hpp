@@ -128,12 +128,8 @@ class Cell {
   void addRect(tech::Layer l, const geom::Rect& r) { shapes_.push_back({l, r}); }
   void addPolygon(tech::Layer l, geom::Polygon p) { shapes_.emplace_back(l, std::move(p)); }
   void addPath(tech::Layer l, geom::Path p) { shapes_.emplace_back(l, std::move(p)); }
-  /// Convenience: a wire from a to b (axis-parallel) of width w.
-  void addWire(tech::Layer l, geom::Point a, geom::Point b, geom::Coord w);
   /// Convenience: contact cut + surround on both connected layers at `center`.
   void addContact(geom::Point center, tech::Layer lower, tech::Layer upper);
-  /// Convenience: a butting/buried contact between poly and diffusion.
-  void addBuriedContact(geom::Point center);
   void addInstance(const Cell* c, geom::Transform t, std::string instName = {});
   void addBristle(Bristle b) { bristles_.push_back(std::move(b)); }
   void addStretch(StretchAxis axis, geom::Coord at, std::string sname = {});
@@ -160,9 +156,6 @@ class Cell {
   /// True when `boundary()` is a declared abutment contract rather than
   /// the implicit shape bbox (lint's boundary exemption needs to know).
   [[nodiscard]] bool hasExplicitBoundary() const noexcept { return hasBoundary_; }
-  /// Bounding box of all shapes and (transformed) sub-instances.
-  [[nodiscard]] geom::Rect shapeBBox() const noexcept;
-
   [[nodiscard]] geom::Coord width() const noexcept { return boundary().width(); }
   [[nodiscard]] geom::Coord height() const noexcept { return boundary().height(); }
 
@@ -174,9 +167,6 @@ class Cell {
   /// Count of shapes including those in sub-instances (hierarchy weight).
   [[nodiscard]] std::size_t totalShapeCount() const noexcept;
 
-  /// Find the first bristle with the given name, or nullptr.
-  [[nodiscard]] const Bristle* findBristle(std::string_view bname) const noexcept;
-
   // Stretch needs to rewrite everything; it lives in stretch.cpp and is a
   // friend so the cell's invariants stay in one file.
   friend Cell stretched(const Cell& c, StretchAxis axis, std::span<const StretchCut> cuts,
@@ -185,6 +175,9 @@ class Cell {
   friend class CellLibrary;
 
  private:
+  /// Bounding box of all shapes and (transformed) sub-instances.
+  [[nodiscard]] geom::Rect shapeBBox() const noexcept;
+
   std::string name_;
   std::vector<Shape> shapes_;
   std::vector<Instance> instances_;

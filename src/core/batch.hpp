@@ -30,13 +30,13 @@ struct BatchJob {
   BatchJob(std::string name, std::string source, CompileOptions opts = {})
       : name(std::move(name)), source(std::move(source)), opts(std::move(opts)) {}
   /// A job over a pre-built description (ChipBuilder, samples): the
-  /// worker's session skips the parse stage entirely.
+  /// worker's session parses no text, only validates the description.
   BatchJob(std::string name, icl::ChipDesc desc, CompileOptions opts = {})
       : name(std::move(name)), desc(std::move(desc)), opts(std::move(opts)) {}
 
   std::string name;    ///< label for reports; defaults to the chip's own name
   std::string source;  ///< chip description text (ignored when `desc` is set)
-  std::optional<icl::ChipDesc> desc;  ///< pre-built description; no parse stage
+  std::optional<icl::ChipDesc> desc;  ///< pre-built description; no text to parse
   CompileOptions opts; ///< per-job options (seeded from the batch default)
 };
 
@@ -80,7 +80,8 @@ class BatchCompiler {
       const std::vector<std::string>& sources) const;
 
   /// Convenience: pre-built descriptions, batch-default options. No job
-  /// parses; this is the high-throughput path for programmatic sweeps.
+  /// parses text; this is the high-throughput path for programmatic
+  /// sweeps.
   [[nodiscard]] std::vector<BatchResult> compileAll(
       std::vector<icl::ChipDesc> descs) const;
 

@@ -73,14 +73,6 @@ class CompileOptions::Builder {
     opts_.lint.minSeverity = floor;
     return *this;
   }
-  Builder& lintSuppress(std::string ruleOrInstance) {
-    opts_.lint.suppress.push_back(std::move(ruleOrInstance));
-    return *this;
-  }
-  Builder& lintOptions(lint::LintOptions lo) {
-    opts_.lint = std::move(lo);
-    return *this;
-  }
 
   [[nodiscard]] CompileOptions build() const { return opts_; }
   operator CompileOptions() const { return opts_; }

@@ -3,7 +3,7 @@
 /// examples. Each is a complete Bristle Blocks input — microcode format,
 /// data/bus section, core element list — built programmatically with
 /// `icl::ChipBuilder` and returned as a typed `icl::ChipDesc`, ready for
-/// `CompileSession` / `compileChip` / `BatchCompiler` without a parse.
+/// `CompileSession` / `compileChip` / `BatchCompiler` without parsing text.
 /// The `*Source()` wrappers render the same descriptions as ICL text for
 /// parser round-trip tests (`parseChip(smallChipSource()) == smallChip()`).
 

@@ -2,6 +2,7 @@
 
 #include "cell/flatten.hpp"
 #include "core/fingerprint.hpp"
+#include "icl/builder.hpp"
 #include "icl/parser.hpp"
 #include "lint/lint.hpp"
 
@@ -181,20 +182,13 @@ std::optional<Stage> CompileSession::setDescription(icl::ChipDesc desc) {
   if (parsed_ && Digest::of(desc_.toString()) == Digest::of(desc.toString())) {
     return std::nullopt;  // canonically identical: every memo stays valid
   }
-  const bool hadParsed = parsed_;
   desc_ = std::move(desc);
   haveDesc_ = true;
   source_.clear();
-  if (!hadParsed) {
-    // Nothing has consumed a description yet; the parse stage will adopt
-    // this one when it runs. A session that failed in parse restarts
-    // there (adoption is free) so its stale parse diagnostics roll back.
-    return failed_ ? std::optional<Stage>(invalidateFrom(Stage::Parse)) : std::nullopt;
-  }
-  // The parse "stage" for a typed session just adopts the description, so
-  // the first real consumer — vote — is the first dirty stage.
-  parsed_ = true;
-  return invalidateFrom(Stage::Vote);
+  // The parse stage adopts and validates the new description. Before it
+  // has run (and not failed) there is nothing to redo.
+  if (!parsed_ && !failed_) return std::nullopt;
+  return invalidateFrom(Stage::Parse);
 }
 
 bool CompileSession::runStage(Stage s) {
@@ -228,11 +222,14 @@ bool CompileSession::execute(Stage s) {
   ++execCount_[static_cast<std::size_t>(s)];
   switch (s) {
     case Stage::Parse: {
+      // Text is parsed, a typed description adopted; either way the one
+      // validator decides whether the description may be compiled.
       if (!haveDesc_) {
         auto desc = icl::parseChip(source_, diags_);
         if (!desc) return false;
         desc_ = std::move(*desc);
       }
+      if (!icl::validateChipDesc(desc_, diags_)) return false;
       parsed_ = true;
       return true;
     }

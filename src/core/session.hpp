@@ -4,9 +4,12 @@
 ///
 ///   parse -> vote -> pass1 -> pass2 -> pass3 -> finalize
 ///
-/// where `vote` is the conditional-assembly step that fixes the element
-/// list ("at any time prior to actually compiling the chip, the user may
-/// decide ..."), and finalize fills the bookkeeping stats. Each stage can
+/// where `parse` reads the description (from text, or adopts a typed
+/// one) and validates it with `icl::validateChipDesc` — the one place a
+/// compile checks its input — `vote` is the conditional-assembly step
+/// that fixes the element list ("at any time prior to actually compiling
+/// the chip, the user may decide ..."), and finalize fills the
+/// bookkeeping stats. Each stage can
 /// be run one at a time and the partial chip inspected in between — stop
 /// after pass1 and look at the placement, attach a `PassObserver` for
 /// per-stage timing, or just call `run()` for the whole flow.
@@ -74,15 +77,17 @@ using CompiledChipPtr = std::unique_ptr<CompiledChip>;
 
 class CompileSession {
  public:
-  /// A session over source text: starts at the parse stage.
+  /// A session over source text: starts at the parse stage, which
+  /// parses the text and then runs `icl::validateChipDesc` on it.
   explicit CompileSession(std::string source, CompileOptions opts = {});
 
   /// A session over a typed description — the first-class entry point
   /// for programmatically built chips (`icl::ChipBuilder`, the samples,
-  /// a description taken from another session). The parse stage is a
-  /// no-op that adopts `desc`; every later stage behaves identically to
-  /// the text path, so a built description and its `toString()` source
-  /// compile to the same chip.
+  /// a description taken from another session, one made by hand). The
+  /// parse stage adopts `desc` and validates it exactly as it validates
+  /// parsed text; every later stage behaves identically to the text
+  /// path, so a built description and its `toString()` source compile to
+  /// the same chip or fail with the same diagnostics.
   CompileSession(icl::ChipDesc desc, CompileOptions opts = {});
 
   CompileSession(CompileSession&&) = default;
@@ -139,8 +144,8 @@ class CompileSession {
   /// Replace the chip description (the session becomes a typed-desc
   /// session regardless of how it was constructed). A description whose
   /// canonical `toString()` is unchanged is a no-op; otherwise
-  /// invalidates from the vote stage (the first consumer of the parsed
-  /// description). Returns like `setOptions`.
+  /// invalidates from the parse stage, which validates the replacement.
+  /// Returns like `setOptions`.
   std::optional<Stage> setDescription(icl::ChipDesc desc);
 
   /// How many times stage `s` actually executed over the session's life —
@@ -155,7 +160,8 @@ class CompileSession {
 
   // ---- inspection between stages --------------------------------------
   [[nodiscard]] const icl::DiagnosticList& diagnostics() const noexcept { return diags_; }
-  /// The parsed description (after the parse stage; null before).
+  /// The parsed, validated description (after the parse stage; null
+  /// before, and when the parse stage failed).
   [[nodiscard]] const icl::ChipDesc* description() const noexcept;
   /// The conditionally-assembled element list (after the vote stage).
   [[nodiscard]] const std::vector<icl::ElementDecl>& assembledElements() const noexcept {
@@ -215,8 +221,9 @@ class CompileSession {
 [[nodiscard]] Expected<CompiledChipPtr> compileChip(std::string_view source,
                                                     CompileOptions opts = {});
 
-/// One-shot convenience over a typed description: skips parsing
-/// entirely. `compileChip(ChipBuilder("c")....buildOrDie())` and
+/// One-shot convenience over a typed description: no text is parsed,
+/// but the description is validated like parsed text.
+/// `compileChip(ChipBuilder("c")....buildOrDie())` and
 /// `compileChip(desc.toString())` produce bit-identical chips.
 [[nodiscard]] Expected<CompiledChipPtr> compileChip(icl::ChipDesc desc,
                                                     CompileOptions opts = {});

@@ -40,10 +40,15 @@ std::string Element::describe(const ElementContext&) const {
   return std::string(kind()) + " element '" + name() + "'";
 }
 
+namespace {
+
+/// The element kinds the library knows, for the unknown-kind diagnostic.
 std::vector<std::string> knownElementKinds() {
   return {"register", "regfile", "alu",      "shifter", "inport",
           "outport",  "constant", "probe",   "busstop"};
 }
+
+}  // namespace
 
 std::unique_ptr<Element> makeElement(const icl::ElementDecl& decl, const icl::ChipDesc& chip,
                                      icl::DiagnosticList& diags) {

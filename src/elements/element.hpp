@@ -113,7 +113,4 @@ class Element {
                                                    const icl::ChipDesc& chip,
                                                    icl::DiagnosticList& diags);
 
-/// The list of element kinds the library knows (for diagnostics and docs).
-[[nodiscard]] std::vector<std::string> knownElementKinds();
-
 }  // namespace bb::elements

@@ -4,6 +4,8 @@
 
 namespace bb::elements {
 
+namespace {
+
 std::string_view padKindName(PadKind k) noexcept {
   switch (k) {
     case PadKind::In: return "pad_in";
@@ -15,6 +17,10 @@ std::string_view padKindName(PadKind k) noexcept {
   }
   return "pad";
 }
+
+geom::Coord padPinWidth() noexcept { return lam(4); }
+
+}  // namespace
 
 PadKind padKindForFlavor(cell::BristleFlavor f) noexcept {
   switch (f) {
@@ -31,7 +37,6 @@ PadKind padKindForFlavor(cell::BristleFlavor f) noexcept {
 }
 
 geom::Coord padSize() noexcept { return lam(60); }
-geom::Coord padPinWidth() noexcept { return lam(4); }
 
 cell::Cell* padCell(cell::CellLibrary& lib, PadKind k) {
   const std::string name = std::string(padKindName(k));

@@ -13,8 +13,6 @@ namespace bb::elements {
 
 enum class PadKind : std::uint8_t { In, Out, Bidir, Vdd, Gnd, Clock };
 
-[[nodiscard]] std::string_view padKindName(PadKind k) noexcept;
-
 /// Map a pad-request bristle flavor to the pad cell kind.
 [[nodiscard]] PadKind padKindForFlavor(cell::BristleFlavor f) noexcept;
 
@@ -24,9 +22,8 @@ enum class PadKind : std::uint8_t { In, Out, Bidir, Vdd, Gnd, Clock };
 /// them so the pin faces the core.
 [[nodiscard]] cell::Cell* padCell(cell::CellLibrary& lib, PadKind k);
 
-/// Pad geometry constants.
-[[nodiscard]] geom::Coord padSize() noexcept;     ///< square side
-[[nodiscard]] geom::Coord padPinWidth() noexcept;
+/// Pad geometry constant: the square side.
+[[nodiscard]] geom::Coord padSize() noexcept;
 
 /// Emit the pad's logic fragment: input pads invert the external signal
 /// onto the requesting net ("<net>"), output pads invert the net onto the

@@ -116,7 +116,6 @@ class SliceBuilder {
 
   /// Center x of the vertical control poly of unit `idx`.
   [[nodiscard]] Coord controlX(int idx) const noexcept;
-  [[nodiscard]] int unitCount() const noexcept { return units_; }
   [[nodiscard]] Coord width() const noexcept;
   [[nodiscard]] cell::Cell* cell() noexcept { return cell_; }
 

@@ -86,8 +86,6 @@ struct Rect {
   [[nodiscard]] constexpr Point center() const noexcept {
     return {floorHalf(x0 + x1), floorHalf(y0 + y1)};
   }
-  [[nodiscard]] constexpr Point lowerLeft() const noexcept { return {x0, y0}; }
-  [[nodiscard]] constexpr Point upperRight() const noexcept { return {x1, y1}; }
 
   /// True if the interiors overlap (shared edges do not count).
   [[nodiscard]] constexpr bool overlaps(const Rect& o) const noexcept {

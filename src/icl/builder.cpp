@@ -1,7 +1,9 @@
 #include "icl/builder.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
+#include <string_view>
 
 namespace bb::icl {
 
@@ -164,113 +166,122 @@ ChipDesc ChipBuilder::buildOrDie() const {
 
 namespace {
 
+/// The widest microcode field: decoding builds `(1ll << bits) - 1`,
+/// which is defined up to 62 bits.
+constexpr int kMaxFieldBits = 62;
+
+/// Element names in scope while walking the core, and every name as it
+/// was inserted (so a conditional can hide its then-branch's names).
+struct NameScope {
+  std::set<std::string_view> names;
+  std::vector<std::string_view> added;
+};
+
 /// Walk one item list for element-name uniqueness. The two branches of a
 /// conditional are mutually exclusive, so the same name may appear in
 /// both; names from either branch are visible (and reserved) afterwards.
-void checkItems(const std::vector<CoreItem>& items, std::set<std::string>& names,
-                DiagnosticList& diags, bool& ok) {
+void checkItems(const std::vector<CoreItem>& items, NameScope& scope, DiagnosticList& diags) {
   for (const CoreItem& it : items) {
     if (const auto* e = std::get_if<ElementDecl>(&it.node)) {
-      if (e->kind.empty()) {
-        diags.error(e->loc, "element '" + e->name + "' has an empty kind");
-        ok = false;
-      }
+      if (e->kind.empty()) diags.error(e->loc, "element '" + e->name + "' has an empty kind");
       if (e->name.empty()) {
         diags.error(e->loc, "element of kind '" + e->kind + "' has an empty name");
-        ok = false;
-      } else if (!names.insert(e->name).second) {
+      } else if (scope.names.insert(e->name).second) {
+        scope.added.push_back(e->name);
+      } else {
         diags.error(e->loc, "duplicate element name '" + e->name + "'");
-        ok = false;
       }
-      for (const auto& [key, value] : e->params) {
-        if (key.empty()) {
-          diags.error(e->loc, "element '" + e->name + "' has an empty parameter name");
-          ok = false;
-        }
-        (void)value;
+      if (e->params.contains("")) {
+        diags.error(e->loc, "element '" + e->name + "' has an empty parameter name");
       }
     } else if (const auto* c = std::get_if<CondBlock>(&it.node)) {
-      if (c->var.empty()) {
-        diags.error(c->loc, "conditional block with an empty variable name");
-        ok = false;
-      }
+      if (c->var.empty()) diags.error(c->loc, "conditional block with an empty variable name");
       if (c->thenItems.empty() && c->elseItems.empty()) {
         diags.warning(c->loc, "conditional on '" + c->var + "' has no items");
       }
-      std::set<std::string> thenNames = names;
-      std::set<std::string> elseNames = names;
-      checkItems(c->thenItems, thenNames, diags, ok);
-      checkItems(c->elseItems, elseNames, diags, ok);
-      names.insert(thenNames.begin(), thenNames.end());
-      names.insert(elseNames.begin(), elseNames.end());
+      const std::size_t mark = scope.added.size();
+      checkItems(c->thenItems, scope, diags);
+      const std::size_t thenEnd = scope.added.size();
+      for (std::size_t i = mark; i < thenEnd; ++i) scope.names.erase(scope.added[i]);
+      checkItems(c->elseItems, scope, diags);
+      for (std::size_t i = mark; i < thenEnd; ++i) scope.names.insert(scope.added[i]);
     }
   }
+}
+
+bool inOrder(const FieldDecl& f) { return f.lo >= 0 && f.hi >= f.lo; }
+
+/// A field's bounds as written between its brackets: "lo:hi".
+std::string bounds(const FieldDecl& f) {
+  return std::to_string(f.lo) + ":" + std::to_string(f.hi);
 }
 
 }  // namespace
 
 bool validateChipDesc(const ChipDesc& desc, DiagnosticList& diags) {
-  bool ok = true;
-  if (desc.name.empty()) {
-    diags.error({}, "chip name is empty");
-    ok = false;
-  }
+  const std::size_t errorsBefore = diags.count(Severity::Error);
+  if (desc.name.empty()) diags.error({}, "chip name is empty");
 
   const MicrocodeDecl& mc = desc.microcode;
   if (mc.width <= 0) {
     diags.error(mc.loc, "microcode width must be positive (got " +
                             std::to_string(mc.width) + ")");
-    ok = false;
   }
-  std::set<std::string> fieldNames;
-  for (const FieldDecl& f : mc.fields) {
-    if (f.name.empty()) {
-      diags.error(f.loc, "microcode field with an empty name");
-      ok = false;
-    } else if (!fieldNames.insert(f.name).second) {
-      diags.error(f.loc, "duplicate microcode field '" + f.name + "'");
-      ok = false;
+  for (auto f = mc.fields.begin(); f != mc.fields.end(); ++f) {
+    if (f->name.empty()) {
+      diags.error(f->loc, "microcode field with an empty name");
+    } else if (std::any_of(mc.fields.begin(), f,
+                           [&](const FieldDecl& g) { return g.name == f->name; })) {
+      diags.error(f->loc, "duplicate microcode field '" + f->name + "'");
     }
-    if (f.lo < 0 || f.hi < f.lo) {
-      diags.error(f.loc, "field '" + f.name + "' has a bad bit range [" +
-                             std::to_string(f.lo) + ":" + std::to_string(f.hi) + "]");
-      ok = false;
-    } else if (mc.width > 0 && f.hi >= mc.width) {
-      diags.error(f.loc, "field '" + f.name + "' bits [" + std::to_string(f.lo) + ":" +
-                             std::to_string(f.hi) + "] exceed microcode width " +
-                             std::to_string(mc.width));
-      ok = false;
+    if (!inOrder(*f)) {
+      diags.error(f->loc, "field '" + f->name + "' has a bad bit range [" + bounds(*f) + "]");
+      continue;
+    }
+    if (mc.width > 0 && f->hi >= mc.width) {
+      diags.error(f->loc, "field '" + f->name + "' bits [" + bounds(*f) +
+                              "] exceed microcode width " + std::to_string(mc.width));
+    }
+    if (f->hi - f->lo >= kMaxFieldBits) {
+      diags.error(f->loc, "field '" + f->name + "' bits [" + bounds(*f) +
+                              "] are wider than " + std::to_string(kMaxFieldBits) + " bits");
+    }
+    const auto other = std::find_if(mc.fields.begin(), f, [&](const FieldDecl& g) {
+      return inOrder(g) && g.lo <= f->hi && f->lo <= g.hi;
+    });
+    if (other != f) {
+      diags.error(f->loc, "field '" + f->name + "' overlaps field '" + other->name +
+                              "' at bit " + std::to_string(std::max(f->lo, other->lo)));
     }
   }
 
   if (desc.dataWidth <= 0) {
     diags.error({}, "data width must be positive (got " +
                         std::to_string(desc.dataWidth) + ")");
-    ok = false;
+  } else if (desc.dataWidth > 64) {
+    diags.error({}, "data width must be at most 64 (got " +
+                        std::to_string(desc.dataWidth) + ")");
   }
 
+  // The paper: "at most two buses may run through any element".
   if (desc.buses.empty()) {
     diags.error({}, "chip declares no buses");
-    ok = false;
+  } else if (desc.buses.size() > 2) {
+    diags.error({}, "chip declares " + std::to_string(desc.buses.size()) +
+                        " buses; at most two may run through an element");
   }
-  std::set<std::string> busNames;
-  for (const std::string& b : desc.buses) {
-    if (b.empty()) {
+  for (auto b = desc.buses.begin(); b != desc.buses.end(); ++b) {
+    if (b->empty()) {
       diags.error({}, "bus with an empty name");
-      ok = false;
-    } else if (!busNames.insert(b).second) {
-      diags.error({}, "duplicate bus '" + b + "'");
-      ok = false;
+    } else if (std::find(desc.buses.begin(), b, *b) != b) {
+      diags.error({}, "duplicate bus '" + *b + "'");
     }
   }
 
-  if (desc.core.empty()) {
-    diags.error({}, "chip core is empty");
-    ok = false;
-  }
-  std::set<std::string> elementNames;
-  checkItems(desc.core, elementNames, diags, ok);
-  return ok;
+  if (desc.core.empty()) diags.error({}, "chip core is empty");
+  NameScope scope;
+  checkItems(desc.core, scope, diags);
+  return diags.count(Severity::Error) == errorsBefore;
 }
 
 }  // namespace bb::icl

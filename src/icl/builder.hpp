@@ -15,11 +15,11 @@
 ///                                            {{"bus", sym("A")}, {"bit", num(0)}})})
 ///                   .build();
 ///
-/// `build()` validates the description (duplicate names, bit ranges,
-/// empty sections) and returns `core::Expected<ChipDesc>` in the
-/// session's error style: diagnostics explain a failure, never an
-/// assert. The textual language remains one loader over the same type
-/// (`ChipDesc::toString()` round-trips through `parseChip`).
+/// `build()` validates the description with `validateChipDesc` and
+/// returns `core::Expected<ChipDesc>` in the session's error style:
+/// diagnostics explain a failure, never an assert. The textual language
+/// remains one loader over the same type (`ChipDesc::toString()`
+/// round-trips through `parseChip`).
 
 #pragma once
 
@@ -119,9 +119,23 @@ class ChipBuilder {
   DiagnosticList pending_;  ///< structural misuse recorded as it happens
 };
 
-/// The validation `ChipBuilder::build()` runs, usable on hand-made
-/// descriptions too. Appends to `diags`; returns false if any *error*
-/// was added (warnings alone still validate).
+/// The one semantic check of a chip description, however it was made.
+/// Two callers run it: `ChipBuilder::build()`, and the parse stage of
+/// `core::CompileSession` — after parsing text, or on adopting a typed
+/// description — so every compile door (`compileChip`, `BatchCompiler`,
+/// `svc::CompileService`) rejects the same descriptions. It checks:
+///   - a non-empty chip name, and microcode and data widths > 0, the
+///     data width at most 64;
+///   - fields: named uniquely, `0 <= lo <= hi` inside the microcode
+///     word, at most 62 bits wide (`1ll << bits` must be defined), and
+///     not overlapping an earlier field;
+///   - one or two uniquely named buses ("at most two buses may run
+///     through any element");
+///   - a non-empty core whose elements have a kind and a unique name.
+///     The same name may appear in both branches of one conditional
+///     (only one is assembled), but not again afterwards.
+/// Appends to `diags`; returns false if any *error* was added (warnings
+/// alone still validate).
 bool validateChipDesc(const ChipDesc& desc, DiagnosticList& diags);
 
 }  // namespace bb::icl

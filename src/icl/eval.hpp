@@ -49,7 +49,6 @@ struct SumOfProducts {
   std::vector<Cube> cubes;
 
   [[nodiscard]] bool matches(unsigned long long word) const noexcept;
-  [[nodiscard]] bool alwaysFalse() const noexcept { return cubes.empty(); }
 };
 
 /// Compile a decode expression against the microcode format.

@@ -1,6 +1,7 @@
 #include "icl/lexer.hpp"
 
 #include <cctype>
+#include <limits>
 
 namespace bb::icl {
 
@@ -71,19 +72,23 @@ std::vector<Token> tokenize(std::string_view src, DiagnosticList& diags) {
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
       long long v = 0;
+      bool overflow = false;
       std::string w;
-      bool hex = false;
+      // Append one digit in `base`, flagging a value past `long long`.
+      const auto push = [&](int base, int digit) {
+        if (v > (std::numeric_limits<long long>::max() - digit) / base) overflow = true;
+        if (!overflow) v = v * base + digit;
+        w += src[i];
+        advance();
+      };
       if (c == '0' && i + 1 < src.size() && (src[i + 1] == 'x' || src[i + 1] == 'X')) {
-        hex = true;
         w = "0x";
         advance(2);
         while (i < src.size() && std::isxdigit(static_cast<unsigned char>(src[i]))) {
           const char d = src[i];
-          v = v * 16 + (std::isdigit(static_cast<unsigned char>(d))
-                            ? d - '0'
-                            : std::tolower(static_cast<unsigned char>(d)) - 'a' + 10);
-          w += d;
-          advance();
+          push(16, std::isdigit(static_cast<unsigned char>(d))
+                       ? d - '0'
+                       : std::tolower(static_cast<unsigned char>(d)) - 'a' + 10);
         }
         if (w == "0x") {
           diags.error(at, "malformed hex literal");
@@ -92,12 +97,14 @@ std::vector<Token> tokenize(std::string_view src, DiagnosticList& diags) {
         }
       } else {
         while (i < src.size() && std::isdigit(static_cast<unsigned char>(src[i]))) {
-          v = v * 10 + (src[i] - '0');
-          w += src[i];
-          advance();
+          push(10, src[i] - '0');
         }
       }
-      (void)hex;
+      if (overflow) {
+        diags.error(at, "number " + w + " is too large for a 64-bit integer");
+        out.push_back({TokKind::Error, std::move(w), 0, at});
+        continue;
+      }
       out.push_back({TokKind::Number, std::move(w), v, at});
       continue;
     }

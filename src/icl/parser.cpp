@@ -1,5 +1,7 @@
 #include "icl/parser.hpp"
 
+#include <limits>
+
 namespace bb::icl {
 
 namespace {
@@ -44,7 +46,6 @@ class Parser {
     if (!sawData) diags_.error({}, "missing 'data width' section");
     if (!sawBuses) diags_.error({}, "missing 'buses' section");
     if (!sawCore) diags_.error({}, "missing 'core' section");
-    semanticChecks(chip);
 
     if (diags_.hasErrors()) return std::nullopt;
     return chip;
@@ -92,14 +93,19 @@ class Parser {
     diags_.error(cur().loc, "expected " + std::string(what));
     return false;
   }
-  bool expectNumber(long long& out, std::string_view what) {
-    if (at(TokKind::Number)) {
-      out = cur().number;
-      advance();
-      return true;
+  /// A number stored as `int` (a width or a bit position).
+  bool expectInt(int& out, std::string_view what) {
+    if (!at(TokKind::Number)) {
+      diags_.error(cur().loc, "expected " + std::string(what));
+      return false;
     }
-    diags_.error(cur().loc, "expected " + std::string(what));
-    return false;
+    if (cur().number > std::numeric_limits<int>::max()) {
+      diags_.error(cur().loc, std::string(what) + " " + cur().text + " is out of range");
+    } else {
+      out = static_cast<int>(cur().number);
+    }
+    advance();
+    return true;
   }
   void recoverToSemiOrBrace() {
     while (!at(TokKind::EndOfFile) && !at(TokKind::Semi) && !at(TokKind::RBrace)) advance();
@@ -142,9 +148,7 @@ class Parser {
     chip.microcode.loc = cur().loc;
     advance();  // microcode
     expectKeyword("width");
-    long long w = 0;
-    expectNumber(w, "microcode width");
-    chip.microcode.width = static_cast<int>(w);
+    expectInt(chip.microcode.width, "microcode width");
     if (!expect(TokKind::LBrace)) return;
     while (!at(TokKind::RBrace) && !at(TokKind::EndOfFile)) {
       if (!atKeyword("field")) {
@@ -160,14 +164,11 @@ class Parser {
         continue;
       }
       expect(TokKind::LBracket);
-      long long lo = 0, hi = 0;
-      expectNumber(lo, "low bit");
+      expectInt(f.lo, "low bit");
       expect(TokKind::Colon);
-      expectNumber(hi, "high bit");
+      expectInt(f.hi, "high bit");
       expect(TokKind::RBracket);
       expect(TokKind::Semi);
-      f.lo = static_cast<int>(std::min(lo, hi));
-      f.hi = static_cast<int>(std::max(lo, hi));
       chip.microcode.fields.push_back(std::move(f));
     }
     expect(TokKind::RBrace);
@@ -176,9 +177,7 @@ class Parser {
   void parseData(ChipDesc& chip) {
     advance();  // data
     expectKeyword("width");
-    long long w = 0;
-    expectNumber(w, "data width");
-    chip.dataWidth = static_cast<int>(w);
+    expectInt(chip.dataWidth, "data width");
     expect(TokKind::Semi);
   }
 
@@ -293,74 +292,9 @@ class Parser {
     return {};
   }
 
-  void semanticChecks(const ChipDesc& chip) {
-    // Microcode fields inside the word and non-overlapping.
-    std::vector<int> owner(static_cast<std::size_t>(std::max(chip.microcode.width, 0)), -1);
-    for (std::size_t fi = 0; fi < chip.microcode.fields.size(); ++fi) {
-      const FieldDecl& f = chip.microcode.fields[fi];
-      if (f.lo < 0 || f.hi >= chip.microcode.width) {
-        diags_.error(f.loc, "field '" + f.name + "' [" + std::to_string(f.lo) + ":" +
-                                std::to_string(f.hi) + "] exceeds microcode width " +
-                                std::to_string(chip.microcode.width));
-        continue;
-      }
-      for (int b = f.lo; b <= f.hi; ++b) {
-        if (owner[static_cast<std::size_t>(b)] >= 0) {
-          diags_.error(f.loc,
-                       "field '" + f.name + "' overlaps field '" +
-                           chip.microcode.fields[static_cast<std::size_t>(
-                                                     owner[static_cast<std::size_t>(b)])]
-                               .name +
-                           "' at bit " + std::to_string(b));
-          break;
-        }
-        owner[static_cast<std::size_t>(b)] = static_cast<int>(fi);
-      }
-      for (std::size_t fj = 0; fj < fi; ++fj) {
-        if (chip.microcode.fields[fj].name == f.name) {
-          diags_.error(f.loc, "duplicate field name '" + f.name + "'");
-        }
-      }
-    }
-    if (chip.dataWidth <= 0 || chip.dataWidth > 64) {
-      diags_.error({}, "data width must be in 1..64, got " + std::to_string(chip.dataWidth));
-    }
-    if (chip.buses.empty() || chip.buses.size() > 2) {
-      // The paper: "at most two buses may run through any element".
-      diags_.error({}, "need 1 or 2 buses, got " + std::to_string(chip.buses.size()));
-    }
-    for (std::size_t i = 0; i < chip.buses.size(); ++i) {
-      for (std::size_t j = i + 1; j < chip.buses.size(); ++j) {
-        if (chip.buses[i] == chip.buses[j]) {
-          diags_.error({}, "duplicate bus name '" + chip.buses[i] + "'");
-        }
-      }
-    }
-    checkNames(chip.core);
-  }
-
-  void checkNames(const std::vector<CoreItem>& items) {
-    for (const CoreItem& item : items) {
-      if (const auto* e = std::get_if<ElementDecl>(&item.node)) {
-        for (const std::string& n : elementNames_) {
-          if (n == e->name) {
-            diags_.error(e->loc, "duplicate element name '" + e->name + "'");
-          }
-        }
-        elementNames_.push_back(e->name);
-      } else if (const auto* c = std::get_if<CondBlock>(&item.node)) {
-        // Names in both arms may collide with each other (only one arm is
-        // assembled), but not with outer names — check each arm separately.
-        checkNames(c->thenItems);
-        checkNames(c->elseItems);
-      }
-    }
-  }
-
   std::vector<Token> toks_;
   DiagnosticList& diags_;
   std::size_t pos_ = 0;
-  std::vector<std::string> elementNames_;
 };
 
 }  // namespace

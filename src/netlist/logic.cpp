@@ -4,16 +4,6 @@
 
 namespace bb::netlist {
 
-char levelChar(Level l) noexcept {
-  switch (l) {
-    case Level::L0: return '0';
-    case Level::L1: return '1';
-    case Level::LX: return 'X';
-    case Level::LZ: return 'Z';
-  }
-  return '?';
-}
-
 Level levelFromBool(bool b) noexcept { return b ? Level::L1 : Level::L0; }
 
 std::string_view gateName(GateKind k) noexcept {
@@ -33,10 +23,6 @@ std::string_view gateName(GateKind k) noexcept {
     case GateKind::Const1: return "CONST1";
   }
   return "?";
-}
-
-bool isBusDriver(GateKind k) noexcept {
-  return k == GateKind::Precharge || k == GateKind::PullDown || k == GateKind::Drive;
 }
 
 int LogicModel::signal(const std::string& name) {

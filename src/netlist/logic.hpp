@@ -21,7 +21,6 @@ namespace bb::netlist {
 /// Logic levels: unknown propagates, Z only appears on undriven buses.
 enum class Level : std::uint8_t { L0, L1, LX, LZ };
 
-[[nodiscard]] char levelChar(Level l) noexcept;
 [[nodiscard]] Level levelFromBool(bool b) noexcept;
 
 /// Primitive kinds.
@@ -42,10 +41,6 @@ enum class GateKind : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view gateName(GateKind k) noexcept;
-
-/// True for kinds whose output is a bus contribution (wired logic)
-/// rather than a plain combinational drive.
-[[nodiscard]] bool isBusDriver(GateKind k) noexcept;
 
 struct Gate {
   GateKind kind = GateKind::Inv;

@@ -8,15 +8,6 @@ std::string_view kindName(TransKind k) noexcept {
   return k == TransKind::Enhancement ? "enh" : "dep";
 }
 
-int TransistorNetlist::netByName(const std::string& name) {
-  auto it = byName_.find(name);
-  if (it != byName_.end()) return it->second;
-  const int id = static_cast<int>(nets_.size());
-  nets_.push_back(Net{name, true});
-  byName_[name] = id;
-  return id;
-}
-
 int TransistorNetlist::anonNet() {
   const int id = static_cast<int>(nets_.size());
   geom::TextBuffer name;

@@ -39,8 +39,6 @@ struct Transistor {
 /// The transistor diagram of a cell or chip.
 class TransistorNetlist {
  public:
-  /// Create or look up a net by name.
-  int netByName(const std::string& name);
   /// Create an anonymous net (named n<k>).
   int anonNet();
   void rename(int net, const std::string& name);

@@ -47,7 +47,7 @@ std::string logicalDiagram(const core::CompiledChip& chip) {
   geom::TextBuffer os;
   os << "logical format — chip '" << chip.desc.name << "'\n\n";
   // Upper bus line.
-  const std::string busA = chip.desc.buses.empty() ? "A" : chip.desc.buses[0];
+  const std::string& busA = chip.desc.buses[0];
   const std::string busB = chip.desc.buses.size() > 1 ? chip.desc.buses[1] : "";
   os << "  " << busA << " ==";
   for (const core::PlacedElement& pe : chip.placed) {

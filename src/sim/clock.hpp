@@ -26,10 +26,7 @@ class TwoPhaseClock {
   /// Advance until the start of the next phi2-high quarter.
   void toPhi2();
 
-  [[nodiscard]] int quarterIndex() const noexcept { return q_; }
   [[nodiscard]] long long cycleCount() const noexcept { return cycles_; }
-  [[nodiscard]] bool phi1High() const noexcept { return q_ == 0; }
-  [[nodiscard]] bool phi2High() const noexcept { return q_ == 2; }
 
  private:
   void apply();

@@ -153,11 +153,6 @@ int Simulator::settle() {
       if (forced_[s]) next[s] = values_[s];
     }
     if (next != values_) {
-      std::size_t delta = 0;
-      for (std::size_t s = 0; s < values_.size(); ++s) {
-        if (next[s] != values_[s]) ++delta;
-      }
-      events_ += delta;
       values_ = std::move(next);
       changed = true;
     }

@@ -51,7 +51,6 @@ class Simulator {
   void driveBus(const std::string& base, int bits, unsigned long long value);
 
   [[nodiscard]] const netlist::LogicModel& model() const noexcept { return model_; }
-  [[nodiscard]] std::size_t eventCount() const noexcept { return events_; }
 
  private:
   void evalGate(const netlist::Gate& g, std::vector<Level>& next,
@@ -61,7 +60,6 @@ class Simulator {
   const netlist::LogicModel& model_;
   std::vector<Level> values_;
   std::vector<bool> forced_;
-  std::size_t events_ = 0;
 };
 
 }  // namespace bb::sim

@@ -21,7 +21,6 @@ std::vector<TraceEntry> Testbench::run(const std::vector<unsigned long long>& pr
     e.busA = sim_.readBus("busA", dataBits_);
     e.busB = sim_.readBus("busB", dataBits_);
     trace.push_back(e);
-    if (cb_) cb_(e, sim_);
     // phi2: elements operate; buses precharge.
     clk_.toPhi2();
     // Finish the cycle (both-low quarter) so the next word starts clean.

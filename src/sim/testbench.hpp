@@ -14,7 +14,6 @@
 #include "sim/clock.hpp"
 #include "sim/simulator.hpp"
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -37,9 +36,6 @@ class Testbench {
   /// per-cycle trace (sampled at the end of phi1, when bus data is valid).
   std::vector<TraceEntry> run(const std::vector<unsigned long long>& program);
 
-  /// Optional per-cycle callback (invoked after the phi1 sample).
-  void onCycle(std::function<void(const TraceEntry&, Simulator&)> cb) { cb_ = std::move(cb); }
-
   [[nodiscard]] TwoPhaseClock& clock() noexcept { return clk_; }
 
  private:
@@ -47,7 +43,6 @@ class Testbench {
   TwoPhaseClock clk_;
   int mcBits_;
   int dataBits_;
-  std::function<void(const TraceEntry&, Simulator&)> cb_;
 };
 
 }  // namespace bb::sim

@@ -25,7 +25,8 @@ void mergeInto(icl::DiagnosticList& dst, const icl::DiagnosticList& src) {
 }
 
 /// The request's typed description: the one it carries, or its source
-/// text parsed (diagnostics land in `diags`). Nullopt when unparseable.
+/// text parsed (diagnostics land in `diags`). Nullopt when unparseable;
+/// the compile session validates what this returns.
 std::optional<icl::ChipDesc> resolveDesc(const CompileRequest& req,
                                          icl::DiagnosticList& diags) {
   if (req.desc.has_value()) return req.desc;

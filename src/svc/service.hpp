@@ -106,7 +106,7 @@ struct CompileRequest {
 struct CompileResponse {
   ChipHandle chip;  ///< null on failure (see diags)
   icl::DiagnosticList diags;
-  std::uint64_t key = 0;      ///< content address (0 when unkeyable: parse failed)
+  std::uint64_t key = 0;      ///< content address (0 when unkeyable: the text did not parse)
   bool cacheHit = false;      ///< served straight from the chip cache
   /// Waited on an identical in-flight compile: a same-batch twin's, or
   /// another caller's (then the cache was re-checked, as `compile()` does).
@@ -225,7 +225,9 @@ class CompileService {
   [[nodiscard]] EmitResponse viewport(const ViewportRequest& req);
 
   /// The content address `compile(req)` would use; nullopt when the
-  /// request's source text does not parse.
+  /// request's source text does not parse. A description that parses
+  /// but does not validate still has a key: its compile fails at the
+  /// parse stage with the validator's diagnostics and is never cached.
   [[nodiscard]] std::optional<std::uint64_t> keyFor(const CompileRequest& req) const;
 
   [[nodiscard]] ServiceStats stats() const;

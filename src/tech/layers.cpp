@@ -61,17 +61,6 @@ std::string_view displayColor(Layer l) noexcept {
   return "#000000";
 }
 
-bool isConducting(Layer l) noexcept {
-  switch (l) {
-    case Layer::Diffusion:
-    case Layer::Poly:
-    case Layer::Metal:
-      return true;
-    default:
-      return false;
-  }
-}
-
 const Electrical& electrical() noexcept {
   static const Electrical e{};
   return e;

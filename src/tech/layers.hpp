@@ -45,9 +45,6 @@ inline constexpr std::array<Layer, kLayerCount> kAllLayers = {
 /// Mead–Conway colour-pencil convention, as an SVG colour.
 [[nodiscard]] std::string_view displayColor(Layer l) noexcept;
 
-/// True for the layers that carry signals (participate in connectivity).
-[[nodiscard]] bool isConducting(Layer l) noexcept;
-
 /// Electrical constants for the 1978-vintage nMOS process; used by the
 /// power-estimation hooks of procedural cells.
 struct Electrical {

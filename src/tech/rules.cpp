@@ -4,20 +4,6 @@ namespace bb::tech {
 
 using geom::lambda;
 
-geom::Coord RuleDeck::minWidth(Layer l) const noexcept {
-  for (const WidthRule& r : widths) {
-    if (r.layer == l) return r.min;
-  }
-  return 0;
-}
-
-geom::Coord RuleDeck::minSpacing(Layer a, Layer b) const noexcept {
-  for (const SpacingRule& r : spacings) {
-    if ((r.a == a && r.b == b) || (r.a == b && r.b == a)) return r.min;
-  }
-  return 0;
-}
-
 const RuleDeck& meadConwayRules() {
   static const RuleDeck deck = [] {
     RuleDeck d;
@@ -45,11 +31,6 @@ const RuleDeck& meadConwayRules() {
     return d;
   }();
   return deck;
-}
-
-const WireDefaults& wireDefaults() noexcept {
-  static const WireDefaults w{};
-  return w;
 }
 
 }  // namespace bb::tech

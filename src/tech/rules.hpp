@@ -43,11 +43,6 @@ struct RuleDeck {
   std::vector<WidthRule> widths;
   std::vector<SpacingRule> spacings;
   CompositeRules composite;
-
-  /// Minimum width for a layer (0 if unruled).
-  [[nodiscard]] geom::Coord minWidth(Layer l) const noexcept;
-  /// Minimum spacing between two layers (0 if unruled).
-  [[nodiscard]] geom::Coord minSpacing(Layer a, Layer b) const noexcept;
 };
 
 /// The canonical Mead–Conway nMOS deck:
@@ -55,15 +50,5 @@ struct RuleDeck {
 ///   metal width 3λ, spacing 3λ; poly-diffusion spacing 1λ;
 ///   contact 2λ with 1λ surround; gate extensions 2λ.
 [[nodiscard]] const RuleDeck& meadConwayRules();
-
-/// Standard wire widths used by the element generators.
-struct WireDefaults {
-  geom::Coord diffusion = geom::lambda(2);
-  geom::Coord poly = geom::lambda(2);
-  geom::Coord metal = geom::lambda(3);
-  geom::Coord powerRail = geom::lambda(4);  ///< grows with power demand
-};
-
-[[nodiscard]] const WireDefaults& wireDefaults() noexcept;
 
 }  // namespace bb::tech

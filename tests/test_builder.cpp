@@ -162,7 +162,12 @@ TEST(BuilderRoundTrip, SameNameInBothBranchesIsAllowed) {
                     .when("FAST", {item("probe", "P", {{"bus", sym("A")}, {"bit", num(0)}})})
                     .elseItems({item("probe", "P", {{"bus", sym("A")}, {"bit", num(1)}})})
                     .build();
-  EXPECT_TRUE(result.hasValue()) << result.diagnostics().toString();
+  ASSERT_TRUE(result.hasValue()) << result.diagnostics().toString();
+  // Its text is just as valid: it parses and, with either arm
+  // assembled, compiles bit-identically to the typed description.
+  for (const bool fast : {true, false}) {
+    expectRoundTrip(*result, core::CompileOptions::builder().var("FAST", fast).build());
+  }
 
   // ...but reusing a branch name afterwards is a duplicate.
   auto dup = ChipBuilder("twin")

@@ -1,7 +1,9 @@
-/// Input-language tests: lexer, parser, semantic checks, conditional
+/// Input-language tests: lexer, parser, semantic checks (through the
+/// compile session, which validates what the parser read), conditional
 /// assembly, and the decode-expression compiler (with exhaustive
 /// parameterized sweeps — decode correctness is the decoder's contract).
 
+#include "core/session.hpp"
 #include "icl/eval.hpp"
 #include "icl/parser.hpp"
 
@@ -67,32 +69,45 @@ TEST(Parser, GoodChipParses) {
   EXPECT_TRUE(chip->vars.at("PROTO"));
 }
 
+/// The diagnostics of compiling `src`, which must fail. `parseChip`
+/// checks syntax only; the compile session's parse stage runs the one
+/// description validator on what it parsed.
+std::string compileErrors(std::string_view src) {
+  auto result = core::compileChip(src);
+  EXPECT_FALSE(result.hasValue());
+  EXPECT_TRUE(result.diagnostics().hasErrors());
+  return result.diagnostics().toString();
+}
+
+/// `kGood` with its `data width 8` replaced by `data width <width>`.
+std::string withDataWidth(std::string_view width) {
+  std::string src = kGood;
+  const std::string from = "data width 8";
+  return src.replace(src.find(from), from.size(), "data width " + std::string(width));
+}
+
 TEST(Parser, ReportsOverlappingFields) {
-  DiagnosticList d;
-  auto chip = parseChip(
+  const char* src =
       "chip x; microcode width 8 { field a [0:3]; field b [3:5]; } data width 4; buses A; "
-      "core { register R (in=A, out=A, load=\"a==0\", drive=\"a==1\"); }",
-      d);
-  EXPECT_FALSE(chip.has_value());
-  EXPECT_NE(d.toString().find("overlaps"), std::string::npos);
+      "core { register R (in=A, out=A, load=\"a==0\", drive=\"a==1\"); }";
+  DiagnosticList d;
+  EXPECT_TRUE(parseChip(src, d).has_value()) << d.toString();  // syntax is fine
+  EXPECT_NE(compileErrors(src).find("overlaps"), std::string::npos);
 }
 
 TEST(Parser, ReportsFieldOutOfRange) {
-  DiagnosticList d;
-  auto chip = parseChip(
-      "chip x; microcode width 4 { field a [0:5]; } data width 4; buses A; core { }", d);
-  EXPECT_FALSE(chip.has_value());
-  EXPECT_NE(d.toString().find("exceeds"), std::string::npos);
+  EXPECT_NE(compileErrors("chip x; microcode width 4 { field a [0:5]; } data width 4; "
+                          "buses A; core { }")
+                .find("exceed"),
+            std::string::npos);
 }
 
 TEST(Parser, ReportsDuplicateElementNames) {
-  DiagnosticList d;
-  auto chip = parseChip(
-      "chip x; microcode width 4 { field a [0:1]; } data width 4; buses A; "
-      "core { register R (load=\"a==0\", drive=\"a==1\"); register R; }",
-      d);
-  EXPECT_FALSE(chip.has_value());
-  EXPECT_NE(d.toString().find("duplicate element"), std::string::npos);
+  EXPECT_NE(compileErrors("chip x; microcode width 4 { field a [0:1]; } data width 4; "
+                          "buses A; core { register R (load=\"a==0\", drive=\"a==1\"); "
+                          "register R; }")
+                .find("duplicate element"),
+            std::string::npos);
 }
 
 TEST(Parser, ReportsMissingSections) {
@@ -105,16 +120,52 @@ TEST(Parser, ReportsMissingSections) {
 }
 
 TEST(Parser, RecoversToReportMultipleErrors) {
-  DiagnosticList d;
-  (void)parseChip(
+  auto result = core::compileChip(
       "chip x; microcode width 4 { field a [0:9]; field a [0:1]; } data width 999; buses A; "
-      "core { }",
-      d);
-  int errors = 0;
-  for (const Diagnostic& di : d.all()) {
-    if (di.severity == Severity::Error) ++errors;
+      "core { }");
+  ASSERT_FALSE(result.hasValue());
+  EXPECT_GE(result.diagnostics().count(Severity::Error), 3u) << result.diagnostics().toString();
+}
+
+TEST(Parser, SyntaxErrorsHideSemanticOnes) {
+  // A missing ';' stops the compile at parsing: the duplicate bus is
+  // never reported, because only a parsed description is validated.
+  std::string src = kGood;
+  src.replace(src.find("buses A, B;"), 11, "buses A, A");
+  const std::string errors = compileErrors(src);
+  EXPECT_NE(errors.find("expected ';'"), std::string::npos) << errors;
+  EXPECT_EQ(errors.find("duplicate bus"), std::string::npos) << errors;
+}
+
+TEST(Parser, ReportsNumbersPastLongLong) {
+  for (const char* width : {"99999999999999999999999", "0x10000000000000000"}) {
+    DiagnosticList d;
+    EXPECT_FALSE(parseChip(withDataWidth(width), d).has_value()) << width;
+    EXPECT_NE(d.toString().find("too large for a 64-bit integer"), std::string::npos)
+        << d.toString();
   }
-  EXPECT_GE(errors, 3);
+}
+
+TEST(Parser, ReportsNumbersPastInt) {
+  // Narrowed to `int`, 4294967300 would read as a 4-bit data path.
+  EXPECT_NE(compileErrors(withDataWidth("4294967300"))
+                .find("data width 4294967300 is out of range"),
+            std::string::npos);
+  std::string src = kGood;
+  src.replace(src.find("[0:2]"), 5, "[999999999990:2]");
+  EXPECT_NE(compileErrors(src).find("low bit 999999999990 is out of range"), std::string::npos);
+}
+
+TEST(Parser, KeepsBitRangesAsWritten) {
+  // `[5:3]` is not silently read as `[3:5]`: the validator rejects it,
+  // exactly as it rejects the same field built with ChipBuilder.
+  std::string src = kGood;
+  src.replace(src.find("[5:7]"), 5, "[7:5]");
+  DiagnosticList d;
+  auto chip = parseChip(src, d);
+  ASSERT_TRUE(chip.has_value()) << d.toString();
+  EXPECT_EQ(chip->microcode.fields[2].lo, 7);
+  EXPECT_NE(compileErrors(src).find("bad bit range [7:5]"), std::string::npos);
 }
 
 TEST(CondAssembly, SelectsArmByVariable) {

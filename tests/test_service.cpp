@@ -302,7 +302,7 @@ TEST(IncrementalSession, UnchangedOptionsAreANoOp) {
   for (const Stage s : core::kAllStages) EXPECT_EQ(session.executionCount(s), 1u);
 }
 
-TEST(IncrementalSession, DescriptionEditRerunsFromVote) {
+TEST(IncrementalSession, DescriptionEditRerunsFromParse) {
   core::CompileSession session(core::samples::smallChip(4), {});
   session.setIncremental(true);
   ASSERT_TRUE(session.runTo(Stage::Finalize));
@@ -314,9 +314,9 @@ TEST(IncrementalSession, DescriptionEditRerunsFromVote) {
   const icl::ChipDesc wider = core::samples::smallChip(8);
   const auto restarted = session.setDescription(wider);
   ASSERT_TRUE(restarted.has_value());
-  EXPECT_EQ(*restarted, Stage::Vote);
+  EXPECT_EQ(*restarted, Stage::Parse);  // the replacement is validated there
   ASSERT_TRUE(session.runTo(Stage::Finalize));
-  EXPECT_EQ(session.executionCount(Stage::Parse), 1u);  // adoption memoized
+  EXPECT_EQ(session.executionCount(Stage::Parse), 2u);
   EXPECT_EQ(session.executionCount(Stage::Vote), 2u);
 
   auto fresh = core::compileChip(wider, {});

@@ -1,13 +1,15 @@
 /// Tests for the staged pipeline API: stage ordering and individual
 /// runnability, observer invocations, error propagation when a stage
 /// fails, finalize's shape count, the fluent options builder, the
-/// emitter registry round-trip, and the concurrent BatchCompiler.
+/// emitter registry round-trip, the concurrent BatchCompiler, and the
+/// one description validator that every compile door runs.
 
 #include "core/batch.hpp"
 #include "core/samples.hpp"
 #include "core/session.hpp"
 #include "icl/parser.hpp"
 #include "reps/emitter.hpp"
+#include "svc/service.hpp"
 
 #include <gtest/gtest.h>
 
@@ -332,6 +334,110 @@ TEST(Batch, PerJobOptionsApply) {
   const auto results = core::BatchCompiler({}, 2).compileAll(std::move(jobs));
   ASSERT_TRUE(results[0].ok() && results[1].ok());
   EXPECT_EQ(results[0].chip->stats.padCount, results[1].chip->stats.padCount + 2);
+}
+
+// ---- one validator: every door rejects the same descriptions ----------
+
+/// One invalid mutation of smallChip(4) and a message it must produce.
+struct InvalidRow {
+  const char* name;
+  void (*mutate)(icl::ChipDesc&);
+  const char* needle;
+};
+
+const InvalidRow kInvalidRows[] = {
+    {"three buses", [](icl::ChipDesc& d) { d.buses.push_back("C"); }, "declares 3 buses"},
+    {"data width 0", [](icl::ChipDesc& d) { d.dataWidth = 0; }, "data width must be positive"},
+    {"data width 65", [](icl::ChipDesc& d) { d.dataWidth = 65; }, "at most 64 (got 65)"},
+    {"overlapping fields", [](icl::ChipDesc& d) { d.microcode.fields[1].lo = 2; },
+     "field 'sel' overlaps field 'op' at bit 2"},
+    {"op [0:9]", [](icl::ChipDesc& d) { d.microcode.fields[0].hi = 9; },
+     "bits [0:9] exceed microcode width 8"},
+    {"hi < lo",
+     [](icl::ChipDesc& d) {
+       d.microcode.fields[2].lo = 7;
+       d.microcode.fields[2].hi = 4;
+     },
+     "bad bit range [7:4]"},
+    {"microcode width 0", [](icl::ChipDesc& d) { d.microcode.width = 0; },
+     "microcode width must be positive"},
+    {"63-bit field",
+     [](icl::ChipDesc& d) {
+       d.microcode.width = 70;
+       d.microcode.fields[2].hi = 66;
+     },
+     "are wider than 62 bits"},
+    {"duplicate element", [](icl::ChipDesc& d) { d.core.push_back(d.core[1]); },
+     "duplicate element name 'RA'"},
+    {"duplicate bus", [](icl::ChipDesc& d) { d.buses[1] = "A"; }, "duplicate bus 'A'"},
+    {"duplicate field", [](icl::ChipDesc& d) { d.microcode.fields[1].name = "op"; },
+     "duplicate microcode field 'op'"},
+    {"empty core", [](icl::ChipDesc& d) { d.core.clear(); }, "chip core is empty"},
+};
+
+/// Severity and message of each diagnostic; locations differ between a
+/// hand-made description (none) and its text (line:column).
+std::vector<std::string> messages(const icl::DiagnosticList& diags) {
+  std::vector<std::string> out;
+  for (const icl::Diagnostic& d : diags.all()) {
+    out.push_back(std::to_string(static_cast<int>(d.severity)) + " " + d.message);
+  }
+  return out;
+}
+
+TEST(Validation, EveryDoorRejectsTheSameDescriptions) {
+  for (const InvalidRow& row : kInvalidRows) {
+    SCOPED_TRACE(row.name);
+    icl::ChipDesc desc = core::samples::smallChip(4);
+    row.mutate(desc);
+
+    auto typed = core::compileChip(desc);
+    ASSERT_FALSE(typed.hasValue());
+    ASSERT_TRUE(typed.diagnostics().hasErrors());
+    EXPECT_NE(typed.diagnostics().toString().find(row.needle), std::string::npos)
+        << typed.diagnostics().toString();
+
+    // Every description here lexes, so its text fails with the same
+    // messages: the parser reads it, the same validator rejects it.
+    auto text = core::compileChip(desc.toString());
+    ASSERT_FALSE(text.hasValue());
+    EXPECT_EQ(messages(text.diagnostics()), messages(typed.diagnostics()));
+
+    std::vector<core::BatchJob> jobs;
+    jobs.push_back({row.name, desc, {}});
+    const auto batch = core::BatchCompiler({}, 1).compileAll(std::move(jobs));
+    ASSERT_EQ(batch.size(), 1u);
+    EXPECT_FALSE(batch[0].ok());
+    EXPECT_EQ(messages(batch[0].diags), messages(typed.diagnostics()));
+
+    svc::CompileService service;
+    const svc::CompileResponse resp = service.compile(svc::CompileRequest::ofDesc(desc));
+    EXPECT_FALSE(resp.ok());
+    EXPECT_EQ(messages(resp.diags), messages(typed.diagnostics()));
+    const svc::CompileResponse fromText =
+        service.compile(svc::CompileRequest::ofSource(row.name, desc.toString()));
+    EXPECT_FALSE(fromText.ok());
+    EXPECT_EQ(service.stats().failures, 2u);
+    EXPECT_EQ(service.cache().size(), 0u);
+  }
+}
+
+TEST(Validation, DescriptionEditIsValidatedAtParse) {
+  core::CompileSession session(core::samples::smallChip(4));
+  ASSERT_TRUE(session.runTo(core::Stage::Finalize));
+
+  icl::ChipDesc threeBuses = core::samples::smallChip(4);
+  threeBuses.buses.push_back("C");
+  EXPECT_EQ(session.setDescription(threeBuses), core::Stage::Parse);
+  EXPECT_FALSE(session.runTo(core::Stage::Finalize));
+  EXPECT_EQ(session.description(), nullptr);
+  EXPECT_NE(session.diagnostics().toString().find("declares 3 buses"), std::string::npos);
+
+  // A valid replacement rolls the failed parse back and compiles.
+  EXPECT_EQ(session.setDescription(core::samples::smallChip(8)), core::Stage::Parse);
+  auto result = session.run();
+  ASSERT_TRUE(result) << result.diagnostics().toString();
+  EXPECT_FALSE(result.diagnostics().hasErrors());
 }
 
 }  // namespace
