@@ -6,14 +6,11 @@ namespace bb::cell {
 
 const geom::RectIndex& FlatLayout::indexOn(tech::Layer l) const {
   const auto i = static_cast<std::size_t>(l);
-  if (!indexCache_[i]) indexCache_[i].emplace(rects[i]);
-  return *indexCache_[i];
+  return indexes_[i].get([&] { return geom::RectIndex(rects[i]); });
 }
 
 void FlatLayout::buildIndexes() const {
-  for (std::size_t i = 0; i < tech::kLayerCount; ++i) {
-    if (!indexCache_[i]) indexCache_[i].emplace(rects[i]);
-  }
+  for (const tech::Layer l : tech::kAllLayers) (void)indexOn(l);
 }
 
 std::size_t FlatLayout::totalCount() const noexcept {
@@ -47,8 +44,8 @@ std::size_t FlatLayout::approxBytes() const noexcept {
     (void)l;
     b += sizeof(p) + p.pts.size() * sizeof(geom::Point);
   }
-  for (const auto& idx : indexCache_) {
-    if (idx) b += idx->approxBytes();
+  for (const auto& idx : indexes_) {
+    if (const geom::RectIndex* built = idx.ifBuilt()) b += built->approxBytes();
   }
   return b;
 }

@@ -6,10 +6,10 @@
 #pragma once
 
 #include "cell/cell.hpp"
+#include "core/once_slot.hpp"
 #include "geom/rect_index.hpp"
 
 #include <array>
-#include <optional>
 #include <vector>
 
 namespace bb::cell {
@@ -20,15 +20,18 @@ namespace bb::cell {
 /// Each layer carries a lazily-built `geom::RectIndex` (see `indexOn`) so
 /// the geometric kernels that share one FlatLayout — DRC, extraction,
 /// emission — also share one spatial index per layer instead of
-/// rebuilding (or worse, brute-scanning) per consumer.
+/// rebuilding (or worse, brute-scanning) per consumer. An index reads
+/// its layer's rects in place, so mutate a layer only through the
+/// non-const `on()`, which drops the index first. Movable (the rect
+/// buffers, and the indexes reading them, move along), not copyable.
 struct FlatLayout {
   std::array<std::vector<geom::Rect>, tech::kLayerCount> rects;
   std::vector<std::pair<tech::Layer, geom::Polygon>> polygons;
 
-  /// Mutable access invalidates the layer's cached index.
+  /// Mutable access drops the layer's cached index.
   [[nodiscard]] std::vector<geom::Rect>& on(tech::Layer l) noexcept {
     const auto i = static_cast<std::size_t>(l);
-    indexCache_[i].reset();
+    indexes_[i].reset();
     return rects[i];
   }
   [[nodiscard]] const std::vector<geom::Rect>& on(tech::Layer l) const noexcept {
@@ -36,25 +39,24 @@ struct FlatLayout {
   }
 
   /// Spatial index over `on(l)`, built on first use and cached until the
-  /// layer is next mutated through the non-const `on()`. Lazy building is
-  /// not thread-safe: call `buildIndexes()` first when several threads
-  /// will query the same FlatLayout (queries themselves are const and
-  /// safe to share).
+  /// layer is next mutated through the non-const `on()`. Any number of
+  /// threads may make the first call at once: one builds, the rest wait,
+  /// and every caller gets the same index (a `core::OnceSlot`).
   [[nodiscard]] const geom::RectIndex& indexOn(tech::Layer l) const;
 
-  /// Prewarm every layer's index (for parallel consumers).
+  /// Build every layer's index now (benches time index building apart
+  /// from the queries that would otherwise build on first use).
   void buildIndexes() const;
 
   [[nodiscard]] std::size_t totalCount() const noexcept;
   [[nodiscard]] geom::Rect bbox() const noexcept;
 
   /// Resident-size estimate: rect storage, polygon vertices, and any
-  /// layer indexes built so far — what a byte-budgeted cache should
-  /// charge for holding this layout.
+  /// layer indexes built so far.
   [[nodiscard]] std::size_t approxBytes() const noexcept;
 
  private:
-  mutable std::array<std::optional<geom::RectIndex>, tech::kLayerCount> indexCache_;
+  std::array<core::OnceSlot<geom::RectIndex>, tech::kLayerCount> indexes_;
 };
 
 /// Flatten `c` (optionally pre-transformed by `t`).

@@ -103,8 +103,7 @@ HierIndex::HierIndex(const Cell& top, std::size_t minUnitShapes) : top_(&top) {
 
   // Pass 4: resolve placements and the derived totals/spatial index.
   placements_.reserve(raw.size());
-  std::vector<geom::Rect> worldBoxes;
-  worldBoxes.reserve(raw.size());
+  worldBoxes_.reserve(raw.size());
   geom::Rect acc;
   bool first = true;
   const auto grow = [&](const geom::Rect& r) {
@@ -126,14 +125,14 @@ HierIndex::HierIndex(const Cell& top, std::size_t minUnitShapes) : top_(&top) {
     p.unit = ui;
     p.t = rp.t;
     p.worldBBox = rp.t(u.bbox);
-    worldBoxes.push_back(p.worldBBox);
+    worldBoxes_.push_back(p.worldBBox);
     grow(p.worldBBox);
     placements_.push_back(p);
     flatCount_ += u.flat.totalCount();
   }
   for (const HierUnit& u : units_) uniqueCount_ += u.flat.totalCount();
   bbox_ = acc;
-  placementIndex_ = geom::RectIndex(std::move(worldBoxes));
+  placementIndex_ = geom::RectIndex(worldBoxes_);
 }
 
 void HierIndex::forEachPlacementNear(const geom::Rect& q, geom::Coord margin,
@@ -158,16 +157,11 @@ void HierIndex::forEachRectTouching(tech::Layer l, const geom::Rect& q,
   });
 }
 
-void HierIndex::buildIndexes() const {
-  residual_.buildIndexes();
-  for (const HierUnit& u : units_) u.flat.buildIndexes();
-}
-
 std::size_t HierIndex::approxBytes() const noexcept {
   std::size_t b = residual_.approxBytes();
   for (const HierUnit& u : units_) b += sizeof(HierUnit) + u.flat.approxBytes();
   b += placements_.size() * sizeof(HierPlacement);
-  b += placementIndex_.approxBytes();
+  b += worldBoxes_.size() * sizeof(geom::Rect) + placementIndex_.approxBytes();
   return b;
 }
 

@@ -25,11 +25,12 @@
 /// regions between placements — the ROADMAP's "stop flattening the world"
 /// refactor.
 ///
-/// Thread safety: construction does all the flattening eagerly; after
-/// `buildIndexes()` every query is a const read and safe to share. The
-/// instance-materialization counter is atomic (the `svc` viewport tests
-/// assert through it that a window only resolves the placements whose
-/// bounding boxes touch it).
+/// Thread safety: construction does all the flattening eagerly, and the
+/// unit and residual layer indexes are `FlatLayout::indexOn`'s, safe to
+/// build on first use from any thread, so every query may run
+/// concurrently. The instance-materialization counter is atomic (the
+/// `svc` viewport tests assert through it that a window only resolves the
+/// placements whose bounding boxes touch it).
 
 #pragma once
 
@@ -99,10 +100,6 @@ class HierIndex {
   void forEachRectTouching(tech::Layer l, const geom::Rect& q,
                            const std::function<void(const geom::Rect&)>& fn) const;
 
-  /// Prewarm every lazy index (unit and residual layer indexes) so
-  /// concurrent consumers only perform const reads.
-  void buildIndexes() const;
-
   /// Instance materializations performed against this index (placements
   /// resolved into world geometry by `layout::View` and friends).
   [[nodiscard]] std::uint64_t instancesMaterialized() const noexcept {
@@ -121,7 +118,8 @@ class HierIndex {
   FlatLayout residual_;
   std::vector<HierUnit> units_;
   std::vector<HierPlacement> placements_;
-  geom::RectIndex placementIndex_;  ///< over placement world bboxes
+  std::vector<geom::Rect> worldBoxes_;  ///< placement world bboxes, in order
+  geom::RectIndex placementIndex_;      ///< over `worldBoxes_`
   geom::Rect bbox_{};
   std::size_t flatCount_ = 0;
   std::size_t uniqueCount_ = 0;

@@ -50,8 +50,8 @@ class CutMap {
   std::span<const StretchCut> cuts_;
 };
 
-}  // namespace
-
+/// True if any sub-instance straddles the given line (which would make
+/// the stretch unsound).
 bool instanceStraddlesLine(const Cell& c, StretchAxis axis, geom::Coord at) noexcept {
   for (const Instance& i : c.instances()) {
     const Rect b = i.placement(i.cell->boundary());
@@ -61,6 +61,8 @@ bool instanceStraddlesLine(const Cell& c, StretchAxis axis, geom::Coord at) noex
   }
   return false;
 }
+
+}  // namespace
 
 Cell stretched(const Cell& c, StretchAxis axis, std::span<const StretchCut> cuts,
                std::string newName) {

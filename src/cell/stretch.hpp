@@ -9,7 +9,7 @@
 ///   * the boundary grows by delta.
 /// Sub-instances must not straddle a stretch line (generators declare
 /// lines in instance-free corridors); a straddling instance is left in
-/// place, and `instanceStraddlesLine` reports it.
+/// place, and `stretchedToExtent` reports it as an error.
 ///
 /// Several cuts on one axis apply in one pass. Cuts are given in the
 /// input cell's coordinates, and each coordinate moves by the summed
@@ -53,9 +53,5 @@ struct FitResult {
 
 [[nodiscard]] FitResult stretchedToExtent(const Cell& c, StretchAxis axis, geom::Coord target,
                                           std::string newName = {});
-
-/// True if any sub-instance straddles the given line (which would make
-/// the stretch unsound).
-[[nodiscard]] bool instanceStraddlesLine(const Cell& c, StretchAxis axis, geom::Coord at) noexcept;
 
 }  // namespace bb::cell

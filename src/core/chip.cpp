@@ -88,26 +88,7 @@ std::size_t CompiledChip::approxBytes() const noexcept {
   bytes += pads.size() * sizeof(PadPlacement);
   bytes += logic.gates().size() * sizeof(netlist::Gate);
   bytes += logic.signalCount() * 32;  // names + bus flags, order of magnitude
-  // Materialized derived artwork. The flattens replicate every instance's
-  // geometry, so on a hierarchical chip they dominate the shared cell
-  // library above — omitting them is exactly the under-charge the svc
-  // cache regression test pins down.
-  for (const cell::FlatLayout* flat : {flatTop_.ifBuilt(), flatCore_.ifBuilt()}) {
-    if (flat != nullptr) bytes += sizeof(cell::FlatLayout) + flat->approxBytes();
-  }
-  if (const cell::HierIndex* hier = hierTop_.ifBuilt()) {
-    bytes += sizeof(cell::HierIndex) + hier->approxBytes();
-  }
-  if (const netlist::TransistorNetlist* nl = coreNetlist_.ifBuilt()) {
-    // Devices, nets, and one by-name map node per named net.
-    bytes += sizeof(netlist::TransistorNetlist) +
-             nl->transistors().size() * sizeof(netlist::Transistor);
-    for (const netlist::Net& n : nl->nets()) {
-      bytes += sizeof(netlist::Net) + n.name.size();
-      if (n.isNamed) bytes += sizeof(std::pair<const std::string, int>) + 32 + n.name.size();
-    }
-  }
-  return bytes;
+  return bytes + stats.shapeCount * kDerivedBytesPerShape;
 }
 
 const cell::FlatLayout& CompiledChip::flatTop() const {

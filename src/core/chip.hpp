@@ -96,15 +96,21 @@ struct CompiledChip {
 
   /// Deterministic estimate of the chip's resident size in bytes: cells,
   /// shapes with polygon/path vertices, bristles, instances, placed
-  /// elements, pads, logic gates — PLUS whatever derived artwork is
-  /// materialized at call time (the flattens with their spatial indexes,
-  /// the hierarchical index, the core netlist). Used by `svc::ChipCache`
-  /// to charge entries against its byte budget; since the service
-  /// prewarms the chip before inserting it, the flattens — which dwarf
-  /// the shared cell library on hierarchical chips — are charged, not
-  /// leaked past the budget. An estimate, not an accounting of every
-  /// allocator header.
+  /// elements, pads, logic gates — PLUS `kDerivedBytesPerShape` per
+  /// flattened primitive (`stats.shapeCount`) for the derived artifacts
+  /// below, whether built or not. The flattens replicate every instance's
+  /// geometry, so they dwarf the shared cell library; charging them up
+  /// front keeps the charge the same before and after any artifact is
+  /// built, and lets `svc::ChipCache` charge a chip at insertion for
+  /// everything a request can later build. An estimate, not an accounting
+  /// of every allocator header.
   [[nodiscard]] std::size_t approxBytes() const noexcept;
+
+  /// Bytes per flattened primitive that `flatTop`, `flatCore` and
+  /// `hierTop` with every layer index built, plus `coreNetlist`, hold
+  /// together: measured at 112-128 over the sample chips, from
+  /// smallChip(4) to largeChip(64, 16).
+  static constexpr std::size_t kDerivedBytesPerShape = 132;
 
   // --- derived artifacts ----------------------------------------------
   //
@@ -115,16 +121,14 @@ struct CompiledChip {
   // finalize counts `stats.shapeCount` with `cell::flatCount`). They need
   // the passes to have run (the cell pointers set); a compiled chip's
   // cells are immutable, so nothing goes stale. `clone()` copies none of
-  // them, and `approxBytes()` charges each once built.
+  // them, and `approxBytes()` charges all of them from the start.
   //
-  // Thread safety: each build runs under `std::call_once` (`OnceSlot`),
-  // so any number of threads may make the first call concurrently on one
-  // shared chip — one builds, the rest wait, every caller gets the same
-  // object, and later calls only read. What the artifacts hold inside is
-  // still lazy: the per-layer `geom::RectIndex`es of a `FlatLayout` and of
-  // the `HierIndex` units are built on first query and are not
-  // thread-safe, so call their `buildIndexes()` before querying them from
-  // several threads (the compile service's prewarm does).
+  // Thread safety: each sits on a `core::OnceSlot`, and so does every
+  // per-layer `geom::RectIndex` inside the flattens and the `HierIndex`
+  // units (`FlatLayout::indexOn`). Any number of threads may make the
+  // first call to any of them concurrently on one shared chip — one
+  // builds, the rest wait, every caller gets the same object, and later
+  // calls only read. A shared chip needs no preparation.
 
   /// Flattened artwork of the whole die / of the core, so DRC,
   /// extraction and every emitter share one flatten (and its per-layer
@@ -141,9 +145,7 @@ struct CompiledChip {
   /// `flatCore()`, nets labelled by the core's bristles. The spice and
   /// transistors emitters both read it, so one chip runs one extraction.
   /// (Lint's ERC extracts on its own: it sets the core boundary and so
-  /// gets a different netlist.) The build queries `flatCore()`'s layer
-  /// indexes, so it too wants them prewarmed when other threads query
-  /// them at the same time.
+  /// gets a different netlist.)
   [[nodiscard]] const netlist::TransistorNetlist& coreNetlist() const;
 
   /// Whether each artifact has been built (so tests can assert which

@@ -12,11 +12,12 @@ namespace bb::core {
 
 /// A `T` built on first use, exactly once, under `std::call_once`:
 /// concurrent first callers wait while one of them builds it, and later
-/// calls only read. An unused slot is one null pointer — nothing is
-/// allocated until the first `get`. The value is constructed in place
-/// from what the build returns, so `T` need not be movable. The slot is
-/// movable (the built value moves with it), not copyable; moving a slot
-/// while another thread reads it is a data race like any other move.
+/// calls only read (one acquire load of a ready flag, no `call_once`). An
+/// unused slot is one null pointer — nothing is allocated until the first
+/// `get`. The value is constructed in place from what the build returns,
+/// so `T` need not be movable. The slot is movable (the built value moves
+/// with it), not copyable; moving or resetting a slot while another
+/// thread reads it is a data race like any other mutation.
 template <class T>
 class OnceSlot {
  public:
@@ -30,10 +31,14 @@ class OnceSlot {
   }
   ~OnceSlot() { delete state_.load(); }
 
+  /// Drop the value (if built); the next `get` builds it again.
+  void reset() noexcept { delete state_.exchange(nullptr); }
+
   /// The value, built by `build()` on the first call. If `build` throws,
   /// the exception propagates and the next call tries again.
   template <class Build>
   [[nodiscard]] const T& get(Build&& build) const {
+    if (const T* built = ifBuilt()) return *built;
     State& s = state();
     std::call_once(s.once, [&] {
       ::new (static_cast<void*>(&s.value)) T(build());

@@ -71,7 +71,6 @@ class TwoTapeMachine {
   [[nodiscard]] const Pla& pla() const noexcept { return pla_; }
   [[nodiscard]] const std::vector<SilInstr>& outputTape() const noexcept { return out_; }
   [[nodiscard]] const TapeStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const std::vector<TextArrayEntry>& textArray() const noexcept { return tape1_; }
 
  private:
   void emit(SilOp op, int a = 0, int b = 0) {

@@ -34,9 +34,7 @@ class Pla {
   /// exactly one cared bit collapse into one. Returns merges performed.
   int optimize();
 
-  [[nodiscard]] int inputWidth() const noexcept { return width_; }
   [[nodiscard]] std::size_t termCount() const noexcept { return terms_.size(); }
-  [[nodiscard]] std::size_t outputCount() const noexcept { return outputs_.size(); }
   /// Total cared literals over all terms (PLA transistor cost, AND side).
   [[nodiscard]] std::size_t literalCount() const noexcept;
   /// Crosspoint count on the OR side.

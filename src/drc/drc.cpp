@@ -682,8 +682,6 @@ DrcReport DeckChecker::check(const cell::FlatLayout& flat, const geom::Rect& bou
 
   std::vector<std::vector<Violation>> found(units_.size());
   if (threads != 1 && units_.size() > 1) {
-    // Lazy index building is not thread-safe; prewarm before fanning out.
-    if (opts_.useSpatialIndex) flat.buildIndexes();
     core::ThreadPool::global().parallelFor(
         units_.size(), 1, [&](std::size_t i) { runUnit(units_[i], found[i]); }, threads);
   } else {
@@ -747,9 +745,6 @@ DrcReport DeckChecker::checkHier(const cell::HierIndex& hier) const {
   };
   const std::size_t total = NU + 1 + pairs.size();
   if (opts_.threads != 1 && total > 1) {
-    // Pair jobs lazily query shared unit/residual indexes; prewarm so the
-    // fan-out only performs const reads.
-    hier.buildIndexes();
     core::ThreadPool::global().parallelFor(total, 1, runJob, opts_.threads);
   } else {
     for (std::size_t k = 0; k < total; ++k) runJob(k);

@@ -68,8 +68,8 @@ struct DrcReport {
 /// This is the per-deck setup a batch of jobs compiling under the same
 /// `tech::RuleDeck` pays once instead of per chip (a `BatchCompiler`
 /// with `withDrc` holds exactly one per batch). The deck must outlive the
-/// checker; `check()` is const and safe to call concurrently for
-/// distinct layouts.
+/// checker; `check()` is const and safe to call concurrently, on
+/// distinct layouts or on one shared layout.
 class DeckChecker {
  public:
   explicit DeckChecker(const tech::RuleDeck& deck, DrcOptions opts = {});

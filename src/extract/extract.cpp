@@ -467,9 +467,14 @@ namespace {
 /// extraction plus per-conductor-layer piece indexes and a local-net ->
 /// representative-piece table. Shared by every placement of the unit.
 struct StitchSrc {
+  StitchSrc() = default;
+  StitchSrc(StitchSrc&&) = default;  // the rect buffers move with it
+  StitchSrc(const StitchSrc&) = delete;  // a copy's indexes would read the original's rects
+
   ExtractResult res;
   std::array<std::vector<int>, 3> layerPieces;  ///< slot -> local piece ids
-  std::array<RectIndex, 3> layerIdx;            ///< over those pieces' rects
+  std::array<std::vector<Rect>, 3> layerRects;  ///< those pieces' rects
+  std::array<RectIndex, 3> layerIdx;            ///< over `layerRects`
   std::vector<int> netRep;                      ///< local net -> first piece
 };
 
@@ -480,18 +485,17 @@ StitchSrc buildStitchSrc(const cell::FlatLayout& flat, const ExtractOptions& bas
   uo.hierarchical = false;
   uo.keepPieces = true;
   x.res = extractFlat(flat, {}, uo);
-  std::array<std::vector<Rect>, 3> rects;
   x.netRep.assign(x.res.netlist.nets().size(), -1);
   for (std::size_t i = 0; i < x.res.pieces.size(); ++i) {
     const auto& p = x.res.pieces[i];
     const int k = condSlot(p.layer);
     x.layerPieces[static_cast<std::size_t>(k)].push_back(static_cast<int>(i));
-    rects[static_cast<std::size_t>(k)].push_back(p.r);
+    x.layerRects[static_cast<std::size_t>(k)].push_back(p.r);
     if (x.netRep[static_cast<std::size_t>(p.net)] < 0) {
       x.netRep[static_cast<std::size_t>(p.net)] = static_cast<int>(i);
     }
   }
-  for (std::size_t k = 0; k < 3; ++k) x.layerIdx[k] = RectIndex(std::move(rects[k]));
+  for (std::size_t k = 0; k < 3; ++k) x.layerIdx[k] = RectIndex(x.layerRects[k]);
   return x;
 }
 

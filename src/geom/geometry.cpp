@@ -144,7 +144,7 @@ Path Path::translated(Point d) const {
   return p;
 }
 
-Rect bboxOf(const std::vector<Rect>& rs) noexcept {
+Rect bboxOf(std::span<const Rect> rs) noexcept {
   if (rs.empty()) return {};
   // Direct min/max accumulation: no per-rect isEmpty branches, and a
   // single pass the compiler can vectorize (this runs per index build).

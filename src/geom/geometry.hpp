@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -160,7 +161,7 @@ struct Path {
 };
 
 /// Compute the bounding box of a set of rectangles (empty input -> empty rect).
-[[nodiscard]] Rect bboxOf(const std::vector<Rect>& rs) noexcept;
+[[nodiscard]] Rect bboxOf(std::span<const Rect> rs) noexcept;
 
 /// Merge touching/overlapping rectangles into maximal disjoint regions
 /// ("connected components" under `touches`). Returns one representative

@@ -352,7 +352,7 @@ std::vector<Rect> intersectRegions(const std::vector<Rect>& a, const std::vector
   std::vector<Rect> out;
   if (a.empty() || b.empty()) return out;
   if (b.size() >= 16) {
-    const RectIndex idx{std::vector<Rect>(b)};
+    const RectIndex idx(b);
     std::vector<int> cand;
     for (const Rect& ra : a) {
       idx.queryTouching(ra, cand);

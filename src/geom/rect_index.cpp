@@ -20,8 +20,8 @@ constexpr std::uint32_t kIndexMask = kHomeRow - 1;
 
 }  // namespace
 
-RectIndex::RectIndex(std::vector<Rect> rects, Coord cellSize)
-    : rects_(std::move(rects)), cs_(cellSize) {
+RectIndex::RectIndex(std::span<const Rect> rects, Coord cellSize)
+    : rects_(rects), cs_(cellSize) {
   build();
 }
 

@@ -14,9 +14,12 @@
 /// index visits the same rects in the same order — indexed and brute
 /// results stay bit-identical (the equivalence tests assert this).
 ///
-/// The index is a snapshot: it copies the rects at construction and never
-/// observes later mutation of the source vector. Queries are const and
-/// touch no mutable state, so a built index can be shared across threads.
+/// The index borrows the rects: it keeps a view of the caller's vector,
+/// which must outlive the index and stay unchanged while it is queried
+/// (a `cell::FlatLayout` drops a layer's index before it hands that
+/// layer out for mutation). Indexing a temporary vector does not compile.
+/// Queries are const and touch no mutable state, so a built index can be
+/// shared across threads.
 ///
 /// A rect spanning several cells is bucketed in each of them. Each CSR
 /// entry carries two flag bits beside the rect index: "this cell is in the
@@ -32,6 +35,7 @@
 #include "geom/geometry.hpp"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace bb::geom {
@@ -41,21 +45,22 @@ class RectIndex {
   /// An empty index (all queries return nothing).
   RectIndex() = default;
 
-  /// Index `rects`. `cellSize` == 0 picks a grid pitch from the average
-  /// rect extent (clamped so the grid never exceeds ~4 cells per rect).
-  /// Throws `std::length_error` for more than 2^30 rects.
-  explicit RectIndex(std::vector<Rect> rects, Coord cellSize = 0);
+  /// Index `rects`, borrowed (see the file note). `cellSize` == 0 picks
+  /// a grid pitch from the average rect extent (clamped so the grid never
+  /// exceeds ~4 cells per rect). Throws `std::length_error` for more than
+  /// 2^30 rects.
+  explicit RectIndex(std::span<const Rect> rects, Coord cellSize = 0);
+  RectIndex(std::vector<Rect>&&, Coord = 0) = delete;  ///< would dangle
 
   [[nodiscard]] std::size_t size() const noexcept { return rects_.size(); }
   [[nodiscard]] bool empty() const noexcept { return rects_.empty(); }
   [[nodiscard]] const Rect& rect(std::size_t i) const noexcept { return rects_[i]; }
-  [[nodiscard]] const std::vector<Rect>& rects() const noexcept { return rects_; }
   [[nodiscard]] Coord cellSize() const noexcept { return cs_; }
 
-  /// Resident-size estimate (rect snapshot + CSR bucket arrays).
+  /// Resident-size estimate: the CSR bucket arrays (the rects are the
+  /// caller's).
   [[nodiscard]] std::size_t approxBytes() const noexcept {
-    return rects_.size() * sizeof(Rect) +
-           (start_.size() + items_.size()) * sizeof(std::uint32_t);
+    return (start_.size() + items_.size()) * sizeof(std::uint32_t);
   }
 
   /// Indices of all rects that touch `q` (shared edges/corners count —
@@ -75,7 +80,7 @@ class RectIndex {
   [[nodiscard]] Coord gridX(Coord x) const noexcept;
   [[nodiscard]] Coord gridY(Coord y) const noexcept;
 
-  std::vector<Rect> rects_;
+  std::span<const Rect> rects_;
   Coord cs_ = 1;             ///< grid pitch
   Coord ox_ = 0, oy_ = 0;    ///< grid origin (bbox lower-left)
   std::int64_t nx_ = 0, ny_ = 0;

@@ -226,6 +226,9 @@ bool validateChipDesc(const ChipDesc& desc, DiagnosticList& diags) {
   if (mc.width <= 0) {
     diags.error(mc.loc, "microcode width must be positive (got " +
                             std::to_string(mc.width) + ")");
+  } else if (mc.width > 64) {
+    diags.error(mc.loc, "microcode width must be at most 64 (got " +
+                            std::to_string(mc.width) + ")");
   }
   for (auto f = mc.fields.begin(); f != mc.fields.end(); ++f) {
     if (f->name.empty()) {

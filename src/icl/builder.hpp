@@ -124,8 +124,8 @@ class ChipBuilder {
 /// `core::CompileSession` — after parsing text, or on adopting a typed
 /// description — so every compile door (`compileChip`, `BatchCompiler`,
 /// `svc::CompileService`) rejects the same descriptions. It checks:
-///   - a non-empty chip name, and microcode and data widths > 0, the
-///     data width at most 64;
+///   - a non-empty chip name, and microcode and data widths in 1..64
+///     (the simulator and decoder carry a microcode word in 64 bits);
 ///   - fields: named uniquely, `0 <= lo <= hi` inside the microcode
 ///     word, at most 62 bits wide (`1ll << bits` must be defined), and
 ///     not overlapping an earlier field;

@@ -3,6 +3,8 @@
 #include "geom/poly.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <map>
 #include <optional>
 #include <vector>
@@ -51,6 +53,8 @@ class Scanner {
     }
   }
 
+  /// The next integer, or nullopt when none starts here. A number past
+  /// `long long` is consumed, yields nullopt and sets `error()`.
   std::optional<long long> number() {
     skipWs();
     bool neg = false;
@@ -58,15 +62,20 @@ class Scanner {
       neg = text_[pos_] == '-';
       ++pos_;
     }
-    if (pos_ >= text_.size() || !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      return std::nullopt;
-    }
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
+    if (pos_ == start) return std::nullopt;
     long long v = 0;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      v = v * 10 + (text_[pos_++] - '0');
+    if (std::from_chars(text_.data() + start, text_.data() + pos_, v).ec != std::errc{}) {
+      error_ = "number " + std::string(text_.substr(start, pos_ - start)) +
+               " is too large for a 64-bit integer";
+      return std::nullopt;
     }
     return neg ? -v : v;
   }
+
+  /// Why the last `number()` failed, if it failed on a number too large.
+  [[nodiscard]] const std::string& error() const noexcept { return error_; }
 
   std::string word() {
     skipWs();
@@ -92,6 +101,7 @@ class Scanner {
  private:
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::string error_;
 };
 
 geom::Orientation orientFromOps(bool mx, bool my, int rot) {
@@ -123,9 +133,12 @@ CifParseResult parseCif(std::string_view text, cell::CellLibrary& lib) {
 
   auto fail = [&](const std::string& msg) {
     res.ok = false;
-    res.error = msg;
+    // A number too large to hold is why the command around it failed.
+    res.error = sc.error().empty() ? msg : sc.error();
     return res;
   };
+  // Symbols are `int`-keyed: a wider id must not wrap onto another symbol.
+  auto badId = [](long long id) { return id < 0 || id > std::numeric_limits<int>::max(); };
 
   // Cell creation is deferred until the first content command so the
   // `9 <name>;` extension (which writeCif emits right after DS) can name
@@ -140,7 +153,7 @@ CifParseResult parseCif(std::string_view text, cell::CellLibrary& lib) {
     return current;
   };
 
-  while (!sc.atEnd()) {
+  while (sc.error().empty() && !sc.atEnd()) {
     const char c = sc.peek();
     if (c == '(') {
       sc.get();
@@ -160,6 +173,7 @@ CifParseResult parseCif(std::string_view text, cell::CellLibrary& lib) {
       if (which == 'S') {
         auto id = sc.number();
         if (!id) return fail("DS without id");
+        if (badId(*id)) return fail("symbol id " + std::to_string(*id) + " is out of range");
         sc.number();  // scale num (optional)
         sc.number();  // scale den
         currentId = static_cast<int>(*id);
@@ -257,6 +271,7 @@ CifParseResult parseCif(std::string_view text, cell::CellLibrary& lib) {
       sc.get();
       auto id = sc.number();
       if (!id) return fail("C without symbol id");
+      if (badId(*id)) return fail("symbol id " + std::to_string(*id) + " is out of range");
       bool mx = false, my = false;
       int rot = 0;
       geom::Point t{};
@@ -310,6 +325,7 @@ CifParseResult parseCif(std::string_view text, cell::CellLibrary& lib) {
     sc.finishCommand();
   }
 
+  if (!sc.error().empty()) return fail(sc.error());
   res.ok = true;
   if (topCallId >= 0 && symbols.contains(topCallId)) {
     res.top = symbols[topCallId];

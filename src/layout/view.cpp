@@ -133,8 +133,8 @@ void View::forEachTileParallel(tech::Layer l, const TileFn& fn) const {
     forEachTile(l, fn);
     return;
   }
-  // Force the layer's lazy index build on this thread before fanning
-  // out; afterwards every collect is a const read.
+  // Look the layer's index up once (building it on first use); every
+  // collect then reads it.
   const geom::RectIndex& idx = flat_->indexOn(l);
   std::vector<std::vector<geom::Rect>> buf(tiles);
   core::ThreadPool::global().parallelFor(tiles, 1, [&](std::size_t t) {
@@ -161,18 +161,19 @@ std::vector<geom::Rect> View::rectsOn(tech::Layer l) const {
 }
 
 const std::vector<std::pair<tech::Layer, geom::Polygon>>& View::windowPolygons() const {
-  std::call_once(piecesOnce_, [this] {
+  return pieces_.get([this] {
+    std::vector<std::pair<tech::Layer, geom::Polygon>> pieces;
     for (const auto& [l, p] : flat_->polygons) {
       if (!p.bbox().touches(window_)) continue;
       // clipToRect's fast path hands back the polygon verbatim when the
       // window contains it, so full-chip emission reproduces the source
       // vertex stream byte for byte.
       for (geom::Polygon& piece : geom::poly::clipToRect(p, window_)) {
-        pieces_.emplace_back(l, std::move(piece));
+        pieces.emplace_back(l, std::move(piece));
       }
     }
+    return pieces;
   });
-  return pieces_;
 }
 
 std::vector<std::pair<tech::Layer, const geom::Polygon*>> View::windowPolygonsOwnedBy(

@@ -52,12 +52,12 @@
 
 #include "cell/flatten.hpp"
 #include "cell/hier_index.hpp"
+#include "core/once_slot.hpp"
 #include "geom/geometry.hpp"
 
 #include <memory>
 
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -170,10 +170,9 @@ class View {
   geom::Rect window_;
   geom::Coord pitchX_ = 1, pitchY_ = 1;
   std::size_t tilesX_ = 1, tilesY_ = 1;
-  /// Lazily-built window polygon pieces (see `windowPolygons`). Guarded
-  /// by `piecesOnce_` so concurrent emitters sharing one View are safe.
-  mutable std::once_flag piecesOnce_;
-  mutable std::vector<std::pair<tech::Layer, geom::Polygon>> pieces_;
+  /// Lazily-built window polygon pieces (see `windowPolygons`), safe for
+  /// concurrent emitters sharing one View.
+  core::OnceSlot<std::vector<std::pair<tech::Layer, geom::Polygon>>> pieces_;
 };
 
 }  // namespace bb::layout

@@ -83,12 +83,11 @@ LintContext::LintContext(std::string chipName, const icl::ChipDesc* desc,
 
 const extract::ExtractResult* LintContext::extraction() const {
   if (flat_ == nullptr) return nullptr;
-  std::call_once(once_, [this] {
+  return &ex_.get([this] {
     extract::ExtractOptions eo;
     eo.boundary = boundary_;
-    ex_.emplace(extract::extractFlat(*flat_, labels_, eo));
+    return extract::extractFlat(*flat_, labels_, eo);
   });
-  return &*ex_;
 }
 
 // ---- RuleRegistry --------------------------------------------------------

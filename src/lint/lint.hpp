@@ -23,6 +23,7 @@
 
 #include "core/chip.hpp"
 #include "core/digest.hpp"
+#include "core/once_slot.hpp"
 #include "extract/extract.hpp"
 #include "lint/options.hpp"
 
@@ -55,7 +56,7 @@ struct Finding {
 
 /// Everything a rule may look at. Frontend rules read `desc()`; ERC
 /// rules read `extraction()`, which is computed lazily exactly once and
-/// shared by every ERC rule in the run (thread-safe via `std::call_once`).
+/// shared by every ERC rule in the run (thread-safe: a `core::OnceSlot`).
 class LintContext {
  public:
   /// Frontend-only context (no artwork).
@@ -85,8 +86,7 @@ class LintContext {
   std::vector<extract::NetLabel> labels_;
   std::optional<geom::Rect> boundary_;
   const LintOptions* opts_;
-  mutable std::once_flag once_;
-  mutable std::optional<extract::ExtractResult> ex_;
+  core::OnceSlot<extract::ExtractResult> ex_;
 };
 
 /// One analysis rule. Implementations must be const-stateless: `check`

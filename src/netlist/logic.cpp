@@ -6,6 +6,8 @@ namespace bb::netlist {
 
 Level levelFromBool(bool b) noexcept { return b ? Level::L1 : Level::L0; }
 
+namespace {
+
 std::string_view gateName(GateKind k) noexcept {
   switch (k) {
     case GateKind::Inv: return "INV";
@@ -24,6 +26,8 @@ std::string_view gateName(GateKind k) noexcept {
   }
   return "?";
 }
+
+}  // namespace
 
 int LogicModel::signal(const std::string& name) {
   const auto [it, fresh] = byName_.try_emplace(name, static_cast<int>(names_.size()));

@@ -40,8 +40,6 @@ enum class GateKind : std::uint8_t {
   Const1,
 };
 
-[[nodiscard]] std::string_view gateName(GateKind k) noexcept;
-
 struct Gate {
   GateKind kind = GateKind::Inv;
   std::vector<int> in;

@@ -35,16 +35,6 @@ std::optional<icl::ChipDesc> resolveDesc(const CompileRequest& req,
   return std::move(*parsed);
 }
 
-/// Build the flattens, the hierarchical index and every per-layer
-/// spatial index before the chip becomes shared, so later viewport and
-/// emit reads (flat or hierarchical) are const-only and the cache charges
-/// the flattens at insertion (see service.hpp).
-void prewarm(const core::CompiledChip& chip) {
-  chip.flatTop().buildIndexes();
-  chip.flatCore().buildIndexes();
-  chip.hierTop().buildIndexes();
-}
-
 }  // namespace
 
 CompileService::CompileService(ServiceOptions opts)
@@ -112,7 +102,6 @@ void CompileService::build(icl::ChipDesc desc, const core::CompileOptions& opts,
   ChipHandle handle;
   if (result) {
     handle = ChipHandle(std::move(*result));
-    prewarm(*handle);
     cache_.insert(resp.key, handle);
   }
   mergeInto(resp.diags, result.diagnostics());

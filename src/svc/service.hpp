@@ -34,15 +34,14 @@
 /// `compileAll` after its pool work). So do not call the service from
 /// inside a pool task.
 ///
-/// Every chip entering the cache is prewarmed before it becomes visible:
-/// the `flatTop`/`flatCore` flattens and the `hierTop` hierarchical index
-/// are built, and so are all their per-layer spatial indexes. The
-/// artifacts themselves would be safe to build on first use from any
-/// thread, but their spatial indexes are built lazily and are not, so
-/// prewarming is what lets concurrent viewport queries — flat or
-/// hierarchical — perform only const reads on shared chips. It also
-/// makes `CompiledChip::approxBytes` charge the flattens when the chip is
-/// inserted, so the cache budget sees them.
+/// A chip enters the cache as compiled: nothing derived is built at
+/// insertion. Its flattens, hierarchical index, core netlist and every
+/// per-layer spatial index inside them are built by the first request
+/// that reads them, from any thread (`core::OnceSlot`), so concurrent
+/// requests on one shared chip need no preparation. The cache charges
+/// `CompiledChip::approxBytes`, which is fixed at compile time and covers
+/// everything a request can later build, so the budget sees a chip's
+/// derived artwork before any of it exists.
 
 #pragma once
 
@@ -141,11 +140,10 @@ struct LintResponse {
 
 /// A viewport (pan/zoom) request: the emitter options (window, tile
 /// pitch, merging, `hierarchical`) plus the chip, identified like a
-/// compile request, and the format to stream it in. Prewarmed chips
-/// build the hierarchical index before entering the cache, so a warm
-/// `hierarchical` viewport, which resolves only the instances touching
-/// the window (`cell::HierIndex::instancesMaterialized`), still runs
-/// zero compile stages and const reads only.
+/// compile request, and the format to stream it in. A warm
+/// `hierarchical` viewport resolves only the instances touching the
+/// window (`cell::HierIndex::instancesMaterialized`) and runs zero
+/// compile stages; the first one on a chip builds its `hierTop()`.
 struct ViewportRequest : reps::EmitterOptions {
   CompileRequest chip;
   std::string format = "cif";  ///< any registered emitter name
@@ -244,7 +242,7 @@ class CompileService {
   /// another caller holds the key. Never called from a pool task.
   [[nodiscard]] bool claimOrWait(CompileResponse& resp);
 
-  /// Compile a claimed key, prewarm and cache the chip, then release the
+  /// Compile a claimed key and cache the chip, then release the
   /// claim (counting the compile) and wake the waiters.
   void build(icl::ChipDesc desc, const core::CompileOptions& opts, CompileResponse& resp);
 

@@ -96,6 +96,43 @@ TEST(Cif, ParserRejectsGarbage) {
   }
 }
 
+TEST(Cif, NumberPastLongLongIsDiagnosed) {
+  // A 20-digit value, wherever the scanner reads it: a box coordinate, a
+  // path point (read by a loop that stops at the first non-number) or a
+  // DS scale nobody uses.
+  for (const char* text : {"DS 1; L NM; B 4 4 99999999999999999999 0; DF; E",
+                           "DS 1; L NM; W 2 0 0 -99999999999999999999 0; DF; E",
+                           "DS 1 99999999999999999999 1; L NM; B 4 4 0 0; DF; E"}) {
+    CellLibrary lib;
+    const auto res = parseCif(text, lib);
+    EXPECT_FALSE(res.ok) << text;
+    EXPECT_NE(res.error.find("99999999999999999999 is too large for a 64-bit integer"),
+              std::string::npos)
+        << text << ": " << res.error;
+  }
+  // The largest value still parses.
+  CellLibrary lib;
+  const auto res = parseCif("DS 1 9223372036854775807 1; L NM; B 4 4 0 0; DF; E", lib);
+  EXPECT_TRUE(res.ok) << res.error;
+}
+
+TEST(Cif, SymbolIdPastIntIsDiagnosed) {
+  // 4294967297 used to narrow to symbol 1: the DS redefined it, and the
+  // top-level C called it.
+  for (const char* text : {"DS 1; L NM; B 4 4 0 0; DF; DS 4294967297; L NM; B 8 8 0 0; DF; E",
+                           "DS 1; L NM; B 4 4 0 0; DF; C 4294967297; E",
+                           "DS -1; L NM; B 4 4 0 0; DF; E"}) {
+    CellLibrary lib;
+    const auto res = parseCif(text, lib);
+    EXPECT_FALSE(res.ok) << text;
+    EXPECT_NE(res.error.find("is out of range"), std::string::npos) << text << ": " << res.error;
+  }
+  CellLibrary lib;
+  const auto res = parseCif("DS 2147483647; L NM; B 4 4 0 0; DF; C 2147483647; E", lib);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.top->name(), "cif_2147483647");
+}
+
 TEST(Cif, CommentsSkipped) {
   CellLibrary lib;
   const auto res = parseCif("( a (nested) comment ); DS 1 125 2; 9 x; L NM; B 8 8 4 4; DF; E",

@@ -14,9 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <map>
 #include <numeric>
 #include <random>
+#include <thread>
 
 namespace bb {
 namespace {
@@ -656,6 +659,45 @@ TEST(FlatLayoutIndex, CachedAndInvalidatedOnMutation) {
   const RectIndex& rebuilt = flat.indexOn(Layer::Metal);
   EXPECT_EQ(rebuilt.size(), 2u);
   EXPECT_EQ(rebuilt.queryTouching(Rect{99, 99, 101, 101}), (std::vector<int>{1}));
+}
+
+TEST(FlatLayoutIndex, ConcurrentFirstQueriesShareOneIndexPerLayer) {
+  // Several threads make the first indexOn call of every layer on one
+  // fresh FlatLayout, each starting at a different layer so first calls
+  // overlap: each layer is built once and every thread gets that object.
+  cell::FlatLayout flat;
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<Coord> pos(0, 5000), size(1, 60);
+  for (const Layer l : tech::kAllLayers) {
+    for (int i = 0; i < 2000; ++i) {
+      const Coord x = pos(rng), y = pos(rng);
+      flat.on(l).emplace_back(x, y, x + size(rng), y + size(rng));
+    }
+  }
+  constexpr std::size_t kThreads = 4;
+  std::array<std::array<const RectIndex*, tech::kLayerCount>, kThreads> seen{};
+  std::atomic<std::size_t> arrived{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      for (std::size_t k = 0; k < tech::kLayerCount; ++k) {
+        const std::size_t li = (t + k) % tech::kLayerCount;
+        seen[t][li] = &flat.indexOn(tech::kAllLayers[li]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  const cell::FlatLayout& built = flat;  // the const on(): no invalidation
+  for (std::size_t li = 0; li < tech::kLayerCount; ++li) {
+    const Layer l = tech::kAllLayers[li];
+    for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(seen[t][li], seen[0][li]);
+    EXPECT_EQ(seen[0][li], &built.indexOn(l));
+    ASSERT_EQ(seen[0][li]->size(), built.on(l).size());
+    EXPECT_EQ(&seen[0][li]->rect(0), built.on(l).data());  // reads the layer in place
+  }
 }
 
 }  // namespace

@@ -8,21 +8,25 @@
 /// single-flight dedup, option-fingerprint sensitivity, and viewport
 /// serving that never re-runs a compile stage on a warm cache), and the
 /// chip's lazily built derived artifacts: the core netlist shared by
-/// concurrent emits, and the flattens and hierarchical index built once
-/// under concurrent first calls.
+/// concurrent emits, the flattens and hierarchical index built once
+/// under concurrent first calls, emitters, lint and DRC racing on a fresh
+/// chip's layer indexes, and the fixed per-shape cache charge.
 
 #include "cell/hier_index.hpp"
 #include "core/digest.hpp"
 #include "core/fingerprint.hpp"
 #include "core/samples.hpp"
 #include "core/session.hpp"
+#include "drc/drc.hpp"
 #include "extract/extract.hpp"
 #include "icl/builder.hpp"
 #include "layout/cif.hpp"
+#include "lint/lint.hpp"
 #include "netlist/spice.hpp"
 #include "reps/emitter.hpp"
 #include "svc/cache.hpp"
 #include "svc/service.hpp"
+#include "tech/rules.hpp"
 
 #include <gtest/gtest.h>
 
@@ -559,23 +563,28 @@ TEST(CompileService, UnknownFormatIsDiagnosedNotFatal) {
 }
 
 TEST(CompileService, EvictionKeepsServingCorrectChips) {
-  // A budget sized for roughly one chip: the second design evicts the
-  // first, and re-requesting the first recompiles it correctly.
+  // A budget that holds either design but not both: the second design
+  // evicts the first, and re-requesting the first recompiles it
+  // correctly. The service charges a chip exactly what a bare compile's
+  // `approxBytes` says, so the probes size the budget.
   const icl::ChipDesc a = core::samples::smallChip(4);
   const icl::ChipDesc b = core::samples::smallChip(8);
-  auto probe = core::compileChip(a, {});
-  ASSERT_TRUE(probe);
+  auto probeA = core::compileChip(a, {});
+  auto probeB = core::compileChip(b, {});
+  ASSERT_TRUE(probeA && probeB);
   svc::ServiceOptions opts;
-  opts.cacheBudgetBytes = (*probe)->approxBytes() * 3 / 2;
+  opts.cacheBudgetBytes = (*probeA)->approxBytes() + (*probeB)->approxBytes() - 1;
   svc::CompileService service(opts);
 
   ASSERT_TRUE(service.compile(svc::CompileRequest::ofDesc(a)).ok());
   ASSERT_TRUE(service.compile(svc::CompileRequest::ofDesc(b)).ok());
   const auto again = service.compile(svc::CompileRequest::ofDesc(a));
   ASSERT_TRUE(again.ok());
-  EXPECT_GE(service.cache().stats().evictions + service.cache().stats().rejectedOversize,
-            1u);
-  // Whatever the eviction pattern, the served mask is always right.
+  EXPECT_FALSE(again.cacheHit);
+  EXPECT_GE(service.cache().stats().evictions, 1u);
+  EXPECT_EQ(service.cache().stats().rejectedOversize, 0u);
+  EXPECT_EQ(service.stats().compilesExecuted, 3u);
+  // The served mask is the right one.
   auto fresh = core::compileChip(a, {});
   ASSERT_TRUE(fresh);
   EXPECT_EQ(cifOf(*again.chip), cifOf(**fresh));
@@ -703,40 +712,58 @@ TEST(CompileService, CompileAllWithPooledLintNeverDeadlocks) {
 
 // ------------------------------------------- approxBytes cache charging
 
-TEST(ChipCacheCharge, MaterializedArtworkChargedWithinTwiceHandCount) {
-  // Regression for the cache under-charge: approxBytes used to count only
-  // the shared cell library, so a prewarmed chip's flattens (which
-  // replicate every instance) and hierarchical index slipped past the
-  // byte budget. The charge must grow when the derived artwork
-  // materializes, and the growth must stay within 2x of an independent
-  // hand count of that artwork's raw storage.
-  auto compiled = core::compileChip(core::samples::smallChip(4));
-  ASSERT_TRUE(compiled) << compiled.diagnostics().toString();
-  const core::CompiledChip cold = (*compiled)->clone();  // derived caches start null
-  const std::size_t base = cold.approxBytes();
+/// The bytes the derived artifacts hold once `flatTop`, `flatCore` and
+/// `hierTop` with every layer index and `coreNetlist` are all built.
+std::size_t builtDerivedBytes(const core::CompiledChip& chip) {
+  std::size_t b = 0;
+  for (const cell::FlatLayout* f : {&chip.flatTop(), &chip.flatCore()}) {
+    f->buildIndexes();
+    b += sizeof(cell::FlatLayout) + f->approxBytes();
+  }
+  const cell::HierIndex& hier = chip.hierTop();
+  hier.residual().buildIndexes();
+  for (const cell::HierUnit& u : hier.units()) u.flat.buildIndexes();
+  b += sizeof(cell::HierIndex) + hier.approxBytes();
+  // Devices, nets, and one by-name map node per named net.
+  const netlist::TransistorNetlist& nl = chip.coreNetlist();
+  b += sizeof(netlist::TransistorNetlist) +
+       nl.transistors().size() * sizeof(netlist::Transistor);
+  for (const netlist::Net& n : nl.nets()) {
+    b += sizeof(netlist::Net) + n.name.size();
+    if (n.isNamed) b += sizeof(std::pair<const std::string, int>) + 32 + n.name.size();
+  }
+  return b;
+}
 
-  const cell::FlatLayout& ft = cold.flatTop();
-  const cell::FlatLayout& fc = cold.flatCore();
-  const cell::HierIndex& hier = cold.hierTop();
-  const std::size_t warm = cold.approxBytes();
+TEST(ChipCacheCharge, ChargeCoversEveryBuiltArtifactAndNeverGrows) {
+  // approxBytes charges the derived artwork up front, per flattened
+  // shape, so the cache can charge a chip at insertion for everything a
+  // request can later build. The charge must not move when the artifacts
+  // are built, must cover what they then hold, and must not overshoot it
+  // by more than a quarter.
+  const std::vector<icl::ChipDesc> designs = {
+      core::samples::smallChip(4),      core::samples::smallChip(8),
+      core::samples::smallChip(16),     core::samples::segmentedChip(8),
+      core::samples::segmentedChip(16), core::samples::prototypeChip(),
+      core::samples::largeChip(8, 4),   core::samples::largeChip(16, 8),
+      core::samples::largeChip(32, 8),  core::samples::largeChip(32, 12),
+      core::samples::largeChip(64, 16)};
+  for (const icl::ChipDesc& desc : designs) {
+    SCOPED_TRACE(desc.name + " " + std::to_string(desc.dataWidth));
+    auto compiled = core::compileChip(desc);
+    ASSERT_TRUE(compiled) << compiled.diagnostics().toString();
+    const core::CompiledChip& chip = **compiled;
+    const std::size_t charge = chip.approxBytes();
+    const std::size_t derivedCharge =
+        chip.stats.shapeCount * core::CompiledChip::kDerivedBytesPerShape;
+    ASSERT_GT(charge, derivedCharge);
+    const std::size_t library = charge - derivedCharge;
 
-  const auto rawFlatBytes = [](const cell::FlatLayout& f) {
-    std::size_t b = 0;
-    for (tech::Layer l : tech::kAllLayers) b += f.on(l).size() * sizeof(geom::Rect);
-    for (const auto& [pl, p] : f.polygons) {
-      (void)pl;
-      b += p.pts.size() * sizeof(geom::Point);
-    }
-    return b;
-  };
-  std::size_t hand = rawFlatBytes(ft) + rawFlatBytes(fc) + rawFlatBytes(hier.residual());
-  for (const cell::HierUnit& u : hier.units()) hand += rawFlatBytes(u.flat);
-  hand += hier.placements().size() * sizeof(cell::HierPlacement);
-  ASSERT_GT(hand, 0u);
-
-  const std::size_t delta = warm - base;
-  EXPECT_GE(delta, hand);
-  EXPECT_LE(delta, 2 * hand);
+    const std::size_t built = library + builtDerivedBytes(chip);
+    EXPECT_EQ(chip.approxBytes(), charge);
+    EXPECT_GE(charge, built);
+    EXPECT_LE(charge, built + built / 4);
+  }
 }
 
 // ------------------------------------------------- cached core netlist
@@ -769,17 +796,14 @@ TEST(CoreNetlist, SpiceAndTransistorsMatchAFreshExtraction) {
   }
 }
 
-TEST(CoreNetlist, ChargedOnceBuiltAndNotCopiedByClone) {
+TEST(CoreNetlist, ChargedUpFrontAndNotCopiedByClone) {
   auto compiled = core::compileChip(core::samples::smallChip(4));
   ASSERT_TRUE(compiled) << compiled.diagnostics().toString();
   const core::CompiledChip& chip = **compiled;
-  (void)chip.flatCore();
   const std::size_t before = chip.approxBytes();
   const netlist::TransistorNetlist& nl = chip.coreNetlist();
   ASSERT_FALSE(nl.transistors().empty());
-  EXPECT_GE(chip.approxBytes() - before,
-            nl.transistors().size() * sizeof(netlist::Transistor) +
-                nl.nets().size() * sizeof(netlist::Net));
+  EXPECT_EQ(chip.approxBytes(), before);  // the per-shape charge covered it already
 
   const core::CompiledChip copy = chip.clone();
   EXPECT_FALSE(copy.coreNetlistBuilt());
@@ -789,7 +813,7 @@ TEST(CoreNetlist, ChargedOnceBuiltAndNotCopiedByClone) {
 
 TEST(CompileService, ConcurrentSpiceEmitsOnOneCachedChipAgree) {
   // Two clients ask for spice on the same warm chip at once: the first
-  // builds the core netlist under call_once, the other waits for it.
+  // builds the core netlist, the other waits for it.
   svc::CompileService service;
   const auto req = svc::CompileRequest::ofDesc(core::samples::largeChip(16, 8));
   const svc::CompileResponse warm = service.compile(req);
@@ -819,7 +843,7 @@ TEST(CompileService, ConcurrentSpiceEmitsOnOneCachedChipAgree) {
 }
 
 TEST(CompiledChip, ConcurrentFirstAccessBuildsEachArtifactOnce) {
-  // A freshly compiled chip, not prewarmed: several threads make the
+  // A freshly compiled chip, nothing built yet: several threads make the
   // first flatTop/flatCore/hierTop calls at once, and every thread gets
   // the same object from each accessor.
   auto compiled = core::compileChip(core::samples::largeChip(16, 8));
@@ -866,6 +890,79 @@ TEST(CompiledChip, ConcurrentFirstAccessBuildsEachArtifactOnce) {
   EXPECT_EQ(seen[0].hier->flatCount(), chip.stats.shapeCount);
 }
 
+TEST(CompiledChip, ConcurrentFirstEmitsLintAndDrcMatchASerialRun) {
+  // Four consumers start at once on a freshly compiled chip whose
+  // artifacts and layer indexes are all unbuilt: spice and lint extract
+  // flatCore(), sticks-svg tiles it, DRC checks flatTop(); lint and DRC
+  // fan out over the pool at full width. Each output must equal a serial
+  // run's on a second compile. Under TSan this is the race check on the
+  // lazily built layer indexes: nothing prepares the chip first.
+  const icl::ChipDesc desc = core::samples::largeChip(16, 8);
+  lint::LintOptions lintOpts;
+  lintOpts.threads = 0;
+  drc::DrcOptions drcOpts;
+  drcOpts.threads = 0;
+  const drc::DeckChecker checker(tech::meadConwayRules(), drcOpts);
+  const reps::EmitterRegistry& reg = reps::EmitterRegistry::global();
+  constexpr std::size_t kJobs = 4;
+  const auto job = [&](const core::CompiledChip& chip, std::size_t k) -> std::string {
+    switch (k) {
+      case 0: return reg.find("spice")->emitToString(chip);
+      case 1: return reg.find("sticks-svg")->emitToString(chip);
+      case 2: return lint::lintChip(chip, lintOpts).toJson();
+      default: {
+        const drc::DrcReport rep = checker.check(chip.flatTop(), chip.top->boundary());
+        std::string out = std::to_string(rep.violations.size()) + " violations\n";
+        for (const drc::Violation& v : rep.violations) {
+          out += v.rule + " " + geom::toString(v.where) + " " + v.message + "\n";
+        }
+        return out;
+      }
+    }
+  };
+
+  auto serialChip = core::compileChip(desc);
+  ASSERT_TRUE(serialChip) << serialChip.diagnostics().toString();
+  std::array<std::string, kJobs> serial;
+  for (std::size_t k = 0; k < kJobs; ++k) serial[k] = job(**serialChip, k);
+
+  auto compiled = core::compileChip(desc);
+  ASSERT_TRUE(compiled) << compiled.diagnostics().toString();
+  const core::CompiledChip& chip = **compiled;
+  ASSERT_FALSE(chip.flatTopBuilt());
+  std::array<std::string, kJobs> concurrent;
+  std::atomic<std::size_t> arrived{0};
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < kJobs; ++k) {
+    threads.emplace_back([&, k] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kJobs) std::this_thread::yield();
+      concurrent[k] = job(chip, k);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (std::size_t k = 0; k < kJobs; ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_FALSE(serial[k].empty());
+    EXPECT_EQ(concurrent[k], serial[k]);
+  }
+}
+
+TEST(CompileService, ColdCompileBuildsNothingAndChargesApproxBytes) {
+  // The cache charges a chip at insertion for everything a request can
+  // later build, so the service builds none of it.
+  svc::CompileService service;
+  const svc::CompileResponse resp =
+      service.compile(svc::CompileRequest::ofDesc(core::samples::largeChip(16, 8)));
+  ASSERT_TRUE(resp.ok()) << resp.diags.toString();
+  EXPECT_FALSE(resp.cacheHit);
+  EXPECT_FALSE(resp.chip->flatTopBuilt());
+  EXPECT_FALSE(resp.chip->hierTopBuilt());
+  EXPECT_FALSE(resp.chip->coreNetlistBuilt());
+  EXPECT_EQ(service.cache().bytes(), resp.chip->approxBytes());
+}
+
 // ------------------------------------------------ hierarchical viewport
 
 TEST(Service, HierarchicalViewportResolvesOnlyWindowInstances) {
@@ -873,9 +970,9 @@ TEST(Service, HierarchicalViewportResolvesOnlyWindowInstances) {
   const icl::ChipDesc desc = core::samples::smallChip(4);
   const auto first = service.compile(svc::CompileRequest::ofDesc(desc));
   ASSERT_TRUE(first.ok()) << first.diags.toString();
-  // Prewarm built the hierarchical index before the chip entered the
-  // cache, so the warm viewport below performs const reads only.
-  ASSERT_TRUE(first.chip->hierTopBuilt());
+  // The chip entered the cache with nothing derived built; this first
+  // read builds the hierarchical index (its layer indexes stay lazy).
+  ASSERT_FALSE(first.chip->hierTopBuilt());
   const cell::HierIndex& hier = first.chip->hierTop();
   const std::uint64_t before = hier.instancesMaterialized();
   const std::size_t total = hier.placements().size();

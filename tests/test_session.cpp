@@ -361,6 +361,8 @@ const InvalidRow kInvalidRows[] = {
      "bad bit range [7:4]"},
     {"microcode width 0", [](icl::ChipDesc& d) { d.microcode.width = 0; },
      "microcode width must be positive"},
+    {"microcode width 65", [](icl::ChipDesc& d) { d.microcode.width = 65; },
+     "microcode width must be at most 64 (got 65)"},
     {"63-bit field",
      [](icl::ChipDesc& d) {
        d.microcode.width = 70;
