@@ -15,6 +15,12 @@
 /// asserts exact equivalence, so streaming is never bought with a wrong
 /// mask.
 ///
+/// A second table times every registered format on warm compiled chips,
+/// largeChip(16,8) and largeChip(64,16): `emit_chip_<format>` rows (n is
+/// the chip's flat shape count, so items_per_sec is shapes/s) and one
+/// `emit_chip_all_over_compile` row per chip whose items_per_sec is the
+/// time of all formats over the time of one compile.
+///
 /// Env knobs: BB_BENCH_SMOKE=1 caps the sweep for CI (and skips the
 /// google-benchmark timings).
 
@@ -24,10 +30,13 @@
 #include "layout/cif.hpp"
 #include "layout/svg.hpp"
 #include "layout/view.hpp"
+#include "reps/emitter.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 using namespace bb;
@@ -161,6 +170,54 @@ void printTable(bool smoke) {
   std::printf("(viewport 1/8 x 1/8 of bbox, tile pitch 200L)\n\n");
 }
 
+/// Mean seconds per call over `iters` calls of `fn`.
+template <typename F>
+double meanSeconds(int iters, F&& fn) {
+  return timeIt([&] {
+           for (int i = 0; i < iters; ++i) fn();
+         }) /
+         iters;
+}
+
+void printChipTable(bool smoke) {
+  const int iters = smoke ? 2 : 20;
+  const reps::EmitterRegistry& reg = reps::EmitterRegistry::global();
+  std::printf("== EMIT-CHIP: every format on a warm compiled chip (mean of %d) ==\n", iters);
+  const struct {
+    const char* label;
+    icl::ChipDesc desc;
+  } chips[] = {{"largeChip(16,8)", core::samples::largeChip(16, 8)},
+               {"largeChip(64,16)", core::samples::largeChip(64, 16)}};
+  for (const auto& c : chips) {
+    std::unique_ptr<core::CompiledChip> chip;
+    const double compileS = meanSeconds(iters, [&] { chip = bench::compile(c.desc); });
+    // Warm: a first emit of every format builds what the emitters read
+    // (the flattens, the core netlist), so the rows time the writers.
+    for (const std::string_view name : reg.names()) {
+      benchmark::DoNotOptimize(reg.find(name)->emitToString(*chip));
+    }
+    const auto shapes = static_cast<long long>(chip->stats.shapeCount);
+    std::printf("%s: %lld flat shapes, compile %.2f ms\n", c.label, shapes, compileS * 1e3);
+    std::printf("  %-12s %10s %12s\n", "format", "ms", "bytes");
+    double allS = 0;
+    for (const std::string_view name : reg.names()) {
+      const reps::Emitter* e = reg.find(name);
+      std::size_t bytes = 0;
+      const double s = meanSeconds(iters, [&] { bytes = e->emitToString(*chip).size(); });
+      allS += s;
+      std::string row = "emit_chip_" + std::string(name);
+      std::replace(row.begin(), row.end(), '-', '_');
+      bench::BenchJson::instance().recordRun(row, shapes, s);
+      std::printf("  %-12s %10.3f %12zu\n", std::string(name).c_str(), s * 1e3, bytes);
+    }
+    bench::BenchJson::instance().record("emit_chip_all_over_compile", shapes, 0,
+                                        allS / compileS);
+    std::printf("  all %zu formats: %.2f ms = %.1fx compile\n", reg.names().size(), allS * 1e3,
+                allS / compileS);
+  }
+  std::printf("\n");
+}
+
 void BM_EmitFullCif(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const FlatLayout flat = makeFlat(n);
@@ -194,6 +251,7 @@ BENCHMARK(BM_EmitWindowCif)
 int main(int argc, char** argv) {
   const bool smoke = std::getenv("BB_BENCH_SMOKE") != nullptr;
   printTable(smoke);
+  printChipTable(smoke);
   if (!bench::BenchJson::instance().write()) {
     std::fprintf(stderr, "FATAL: failed to land perf rows in BENCH.json (cause above)\n");
     return 1;

@@ -9,17 +9,6 @@ namespace bb::geom {
 
 Rect Rect::expanded(Coord m) const noexcept { return expandedXY(m, m); }
 
-Rect Rect::unionWith(const Rect& o) const noexcept {
-  if (isEmpty()) return o;
-  if (o.isEmpty()) return *this;
-  Rect r;
-  r.x0 = std::min(x0, o.x0);
-  r.y0 = std::min(y0, o.y0);
-  r.x1 = std::max(x1, o.x1);
-  r.y1 = std::max(y1, o.y1);
-  return r;
-}
-
 std::optional<Rect> Rect::intersectWith(const Rect& o) const noexcept {
   if (!overlaps(o)) return std::nullopt;
   Rect r;

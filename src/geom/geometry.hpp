@@ -22,6 +22,13 @@ namespace bb::geom {
 /// units^2) never overflow.
 using Coord = std::int64_t;
 
+/// The coordinate range an imported deck may use: every operand of a
+/// CIF `B`, `W` or `P` command and every `C ... T` offset lies in
+/// [-2^30, 2^30]. Within it a box's corners and sides (< 2^31) and its
+/// area (< 2^62) fit in `Coord`, and every coordinate fits GDSII's
+/// 4-byte fields.
+inline constexpr Coord kCoordLimit = Coord{1} << 30;
+
 /// Grid resolution: 4 units per lambda (quarter-lambda grid).
 inline constexpr Coord kUnitsPerLambda = 4;
 
@@ -125,7 +132,17 @@ struct Rect {
   }
 
   /// Smallest rectangle covering both (treats empty as identity).
-  [[nodiscard]] Rect unionWith(const Rect& o) const noexcept;
+  /// Inline: `FlatLayout::bbox()` folds every rect of a layout through it.
+  [[nodiscard]] constexpr Rect unionWith(const Rect& o) const noexcept {
+    if (isEmpty()) return o;
+    if (o.isEmpty()) return *this;
+    Rect r;
+    r.x0 = std::min(x0, o.x0);
+    r.y0 = std::min(y0, o.y0);
+    r.x1 = std::max(x1, o.x1);
+    r.y1 = std::max(y1, o.y1);
+    return r;
+  }
   /// Overlap region, or nullopt when interiors are disjoint.
   [[nodiscard]] std::optional<Rect> intersectWith(const Rect& o) const noexcept;
 };

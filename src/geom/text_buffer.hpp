@@ -14,6 +14,7 @@
 
 #include <charconv>
 #include <concepts>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -52,8 +53,40 @@ class TextBuffer {
 
   /// `%.6g`: six significant digits, trailing zeros dropped, exponent
   /// form below 1e-4 and from 1e6 up; "inf", "nan" with their sign.
+  ///
+  /// The svg writers print grid coordinates times 0.25 or 0.5 plus an
+  /// integer margin, so nearly every value is an exact multiple of 1/8.
+  /// A nonzero one below 1e6 whose decimal form has at most six
+  /// significant digits is exactly what `%.6g` prints, so it is written
+  /// as an integer part plus one of eight fraction suffixes, with no
+  /// shortest-digits search or rounding. Every other value takes the
+  /// general path.
   TextBuffer& operator<<(double v) {
     char buf[32];  // "-1.23457e-308" is the longest form
+    const double a = v < 0 ? -v : v;
+    if (a < 1e6 && v != 0) {  // false for NaN
+      const double eighths = a * 8;  // exact: a power-of-two scale
+      const auto k = static_cast<std::int64_t>(eighths);
+      if (static_cast<double>(k) == eighths) {
+        static constexpr std::string_view kFraction[8] = {"",   ".125", ".25", ".375",
+                                                          ".5", ".625", ".75", ".875"};
+        const std::int64_t whole = k >> 3;
+        const std::string_view frac = kFraction[k & 7];
+        char* p = buf;
+        if (v < 0) *p++ = '-';
+        char* const digits = p;
+        p = std::to_chars(p, buf + sizeof buf, whole).ptr;
+        // Significant digits: the integer part's (none when it is 0)
+        // plus the fraction's, its leading '.' not counted.
+        const std::size_t sig = (whole != 0 ? static_cast<std::size_t>(p - digits) : 0) +
+                                (frac.empty() ? 0 : frac.size() - 1);
+        if (sig <= 6) {
+          out_.append(buf, p);
+          out_.append(frac);
+          return *this;
+        }
+      }
+    }
     const auto r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 6);
     out_.append(buf, r.ptr);
     return *this;

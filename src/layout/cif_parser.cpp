@@ -139,6 +139,12 @@ CifParseResult parseCif(std::string_view text, cell::CellLibrary& lib) {
   };
   // Symbols are `int`-keyed: a wider id must not wrap onto another symbol.
   auto badId = [](long long id) { return id < 0 || id > std::numeric_limits<int>::max(); };
+  // Shape operands and call offsets stay within geom::kCoordLimit, so the
+  // corner arithmetic below cannot overflow.
+  auto badCoord = [](long long v) { return v < -geom::kCoordLimit || v > geom::kCoordLimit; };
+  auto coordFail = [&](long long v) {
+    return fail("coordinate " + std::to_string(v) + " is out of range");
+  };
 
   // Cell creation is deferred until the first content command so the
   // `9 <name>;` extension (which writeCif emits right after DS) can name
@@ -217,6 +223,9 @@ CifParseResult parseCif(std::string_view text, cell::CellLibrary& lib) {
       auto cx = sc.number();
       auto cy = sc.number();
       if (!w || !h || !cx || !cy) return fail("malformed B command");
+      for (const long long v : {*w, *h, *cx, *cy}) {
+        if (badCoord(v)) return coordFail(v);
+      }
       if (ensureCurrent() == nullptr) return fail("B outside DS");
       current->addRect(layer, geom::Rect{*cx - *w / 2, *cy - *h / 2, *cx - *w / 2 + *w,
                                          *cy - *h / 2 + *h});
@@ -227,6 +236,7 @@ CifParseResult parseCif(std::string_view text, cell::CellLibrary& lib) {
       sc.get();
       auto w = sc.number();
       if (!w) return fail("malformed W command");
+      if (badCoord(*w)) return coordFail(*w);
       geom::Path p;
       p.width = *w;
       while (true) {
@@ -234,6 +244,8 @@ CifParseResult parseCif(std::string_view text, cell::CellLibrary& lib) {
         if (!x) break;
         auto y = sc.number();
         if (!y) return fail("odd coordinate count in W");
+        if (badCoord(*x)) return coordFail(*x);
+        if (badCoord(*y)) return coordFail(*y);
         p.pts.push_back({*x, *y});
       }
       if (ensureCurrent() == nullptr) return fail("W outside DS");
@@ -249,6 +261,8 @@ CifParseResult parseCif(std::string_view text, cell::CellLibrary& lib) {
         if (!x) break;
         auto y = sc.number();
         if (!y) return fail("odd coordinate count in P");
+        if (badCoord(*x)) return coordFail(*x);
+        if (badCoord(*y)) return coordFail(*y);
         p.pts.push_back({*x, *y});
       }
       if (ensureCurrent() == nullptr) return fail("P outside DS");
@@ -282,6 +296,8 @@ CifParseResult parseCif(std::string_view text, cell::CellLibrary& lib) {
           auto x = sc.number();
           auto y = sc.number();
           if (!x || !y) return fail("malformed T in C");
+          if (badCoord(*x)) return coordFail(*x);
+          if (badCoord(*y)) return coordFail(*y);
           t = {*x, *y};
         } else if (op == 'R') {
           sc.get();

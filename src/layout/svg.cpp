@@ -2,6 +2,8 @@
 
 #include "geom/text_buffer.hpp"
 
+#include <array>
+
 namespace bb::layout {
 
 std::string xmlEscape(std::string_view s) {
@@ -41,22 +43,27 @@ struct Mapper {
   }
 };
 
-void emitRect(geom::TextBuffer& os, const Mapper& m, const geom::Rect& r, tech::Layer l,
-              double opacity) {
-  os << "<rect x=\"" << m.x(r.x0) << "\" y=\"" << m.y(r.y1) << "\" width=\""
-     << static_cast<double>(r.width()) * m.s << "\" height=\""
-     << static_cast<double>(r.height()) * m.s << "\" fill=\"" << tech::displayColor(l)
-     << "\" fill-opacity=\"" << opacity << "\"/>\n";
-}
-
 void emitFlat(geom::TextBuffer& os, const Mapper& m, const View& view, double opacity) {
+  // Every shape on a layer ends in the same fill attributes and tag
+  // close, so each layer's tail is formatted once.
+  std::array<std::string, tech::kLayerCount> tails;
+  for (const tech::Layer l : tech::kAllLayers) {
+    geom::TextBuffer tail;
+    tail << "\" fill=\"" << tech::displayColor(l) << "\" fill-opacity=\"" << opacity << "\"/>\n";
+    tails[static_cast<std::size_t>(l)] = tail.take();
+  }
   // Draw in stack order: diffusion, implant, buried, poly, contact, metal, glass.
   const tech::Layer order[] = {tech::Layer::Diffusion, tech::Layer::Implant, tech::Layer::Buried,
                                tech::Layer::Poly,      tech::Layer::Contact, tech::Layer::Metal,
                                tech::Layer::Glass};
   for (tech::Layer l : order) {
+    const std::string& tail = tails[static_cast<std::size_t>(l)];
     view.forEachTileParallel(l, [&](std::size_t, std::size_t, const std::vector<geom::Rect>& rs) {
-      for (const geom::Rect& r : rs) emitRect(os, m, r, l, opacity);
+      for (const geom::Rect& r : rs) {
+        os << "<rect x=\"" << m.x(r.x0) << "\" y=\"" << m.y(r.y1) << "\" width=\""
+           << static_cast<double>(r.width()) * m.s << "\" height=\""
+           << static_cast<double>(r.height()) * m.s << tail;
+      }
     });
   }
   // Polygon pieces under the View's clipping policy (window-crossing
@@ -64,7 +71,7 @@ void emitFlat(geom::TextBuffer& os, const Mapper& m, const View& view, double op
   for (const auto& [l, p] : view.windowPolygons()) {
     os << "<polygon points=\"";
     for (geom::Point q : p.pts) os << m.x(q.x) << ',' << m.y(q.y) << ' ';
-    os << "\" fill=\"" << tech::displayColor(l) << "\" fill-opacity=\"" << opacity << "\"/>\n";
+    os << tails[static_cast<std::size_t>(l)];
   }
 }
 

@@ -4,6 +4,8 @@
 #include "geom/poly.hpp"
 #include "geom/sweep.hpp"
 
+#include <algorithm>
+
 namespace bb::layout {
 
 View::View(const cell::FlatLayout& flat, ViewOptions opts)
@@ -115,6 +117,18 @@ void View::collectTile(const geom::RectIndex& idx, std::size_t tx, std::size_t t
 }
 
 void View::forEachTile(tech::Layer l, const TileFn& fn) const {
+  if (!opts_.window && tileCount() == 1 && !opts_.merge) {
+    // The whole artwork in one unmerged tile is every rect touching the
+    // window in source order: the layer itself, read in place with no
+    // index. Only an empty rect can miss its own layout's bbox; the
+    // query below drops such a rect.
+    const std::vector<geom::Rect>& rs = flat_->on(l);
+    if (std::all_of(rs.begin(), rs.end(),
+                    [this](const geom::Rect& r) { return r.touches(window_); })) {
+      fn(0, 0, rs);
+      return;
+    }
+  }
   const geom::RectIndex& idx = flat_->indexOn(l);
   std::vector<int> cand;
   std::vector<geom::Rect> tileRects;

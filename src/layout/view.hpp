@@ -13,7 +13,10 @@
 /// stream from a View: `writeCif`/`writeGds` take one directly
 /// (`writeCif(View{flat, opts})`), svg and sticks open one from their
 /// `ViewOptions`. Full-chip emission is simply the `window == bbox`,
-/// single-tile special case and is bit-identical to the raw walk. The
+/// single-tile special case and is bit-identical to the raw walk. A
+/// whole-artwork view (no window set, one tile, merging off) is that
+/// walk: it reads each layer vector in place and builds no index, while
+/// windowed, tiled and merged views query the per-layer indexes. The
 /// emitter registry reaches every writer through `reps::EmitterOptions`,
 /// which is `ViewOptions` plus the `hierarchical` switch.
 ///
@@ -81,7 +84,7 @@ class View {
  public:
   /// `flat` must outlive the View (it is not copied). Building a View is
   /// cheap; the per-layer indexes are built lazily by FlatLayout on the
-  /// first query of each layer.
+  /// first query of each layer, and a whole-artwork view makes none.
   explicit View(const cell::FlatLayout& flat, ViewOptions opts = {});
 
   /// Open a view over hierarchical artwork WITHOUT flattening it: only
@@ -110,7 +113,8 @@ class View {
   /// scratch buffer reused across tiles (copy what must outlive the call).
   /// Unmerged: original rects touching the window, each exactly once,
   /// ascending source order within a tile. Merged: disjoint maximal
-  /// pieces of the tile-clipped union.
+  /// pieces of the tile-clipped union. A whole-artwork view hands `fn`
+  /// the layer vector itself, with no index query.
   using TileFn =
       std::function<void(std::size_t tx, std::size_t ty, const std::vector<geom::Rect>&)>;
   void forEachTile(tech::Layer l, const TileFn& fn) const;

@@ -12,15 +12,44 @@
 #include <algorithm>
 #include <mutex>
 #include <ostream>
-#include <sstream>
+#include <streambuf>
 
 namespace bb::reps {
 
+namespace {
+
+/// Appends everything written through it to one string, so
+/// `emitToString` copies each byte once (an `ostringstream` regrows its
+/// own buffer by doubling, and `str()` copies it again).
+class StringSink final : public std::streambuf {
+ public:
+  explicit StringSink(std::string& out) : out_(out) {}
+
+ protected:
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    out_.append(s, static_cast<std::size_t>(n));
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      out_.push_back(traits_type::to_char_type(c));
+    }
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  std::string& out_;
+};
+
+}  // namespace
+
 std::string Emitter::emitToString(const core::CompiledChip& chip,
                                   const EmitterOptions& opts) const {
-  std::ostringstream os;
+  std::string out;
+  StringSink sink(out);
+  std::ostream os(&sink);
   emit(chip, os, opts);
-  return os.str();
+  return out;
 }
 
 namespace {
@@ -88,7 +117,7 @@ void emitText(const core::CompiledChip& chip, std::ostream& os, const EmitterOpt
 }
 
 void emitSticks(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions&) {
-  os << sticksText(sticksOf(chip.flatCore()));
+  os << sticksText(chip.flatCore());
 }
 
 /// Sticks of the core, windowed in core coordinates.

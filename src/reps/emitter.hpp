@@ -58,7 +58,9 @@ class Emitter {
   virtual void emit(const core::CompiledChip& chip, std::ostream& os,
                     const EmitterOptions& opts) const = 0;
 
-  /// Convenience: emit to a string.
+  /// Emit into a string, which `emit` appends to directly (no
+  /// `ostringstream` and no second copy). The one way a chip becomes a
+  /// string: the service's emit and viewport payloads come from it.
   [[nodiscard]] std::string emitToString(const core::CompiledChip& chip,
                                          const EmitterOptions& opts = {}) const;
 };

@@ -3,7 +3,8 @@
 #include "geom/text_buffer.hpp"
 #include "layout/svg.hpp"
 
-#include <map>
+#include <algorithm>
+#include <array>
 
 namespace bb::reps {
 
@@ -35,18 +36,31 @@ std::vector<Stick> sticksOf(const cell::FlatLayout& flat, const layout::ViewOpti
   return out;
 }
 
-std::string sticksText(const std::vector<Stick>& sticks) {
-  std::map<tech::Layer, std::size_t> perLayer;
+std::string sticksText(const cell::FlatLayout& flat) {
+  // The whole-artwork `sticksOf` reduction, summed without building its
+  // sticks: a rect's stick is as long as the rect's longer side, a
+  // polygon's as wide as the polygon's bbox.
+  const layout::View v{flat};
+  std::array<std::size_t, tech::kLayerCount> perLayer{};
   geom::Coord totalLen = 0;
-  for (const Stick& s : sticks) {
-    ++perLayer[s.layer];
-    totalLen += geom::manhattan(s.a, s.b);
+  for (tech::Layer l : tech::kAllLayers) {
+    v.forEachTile(l, [&](std::size_t, std::size_t, const std::vector<geom::Rect>& rs) {
+      perLayer[static_cast<std::size_t>(l)] += rs.size();
+      for (const geom::Rect& r : rs) totalLen += std::max(r.width(), r.height());
+    });
   }
+  for (const auto& [l, p] : v.windowPolygons()) {
+    ++perLayer[static_cast<std::size_t>(l)];
+    totalLen += p.bbox().width();
+  }
+  std::size_t total = 0;
+  for (const std::size_t n : perLayer) total += n;
   geom::TextBuffer os;
-  os << "sticks diagram: " << sticks.size() << " sticks, total length "
+  os << "sticks diagram: " << total << " sticks, total length "
      << totalLen / geom::kUnitsPerLambda << "L\n";
-  for (const auto& [l, n] : perLayer) {
-    os << "  " << tech::layerName(l) << ": " << n << "\n";
+  for (tech::Layer l : tech::kAllLayers) {
+    const std::size_t n = perLayer[static_cast<std::size_t>(l)];
+    if (n != 0) os << "  " << tech::layerName(l) << ": " << n << "\n";
   }
   return os.take();
 }

@@ -28,13 +28,16 @@ struct Stick {
 /// centerline. Geometry streams from a `layout::View` over the per-layer
 /// spatial indexes, so `view` can restrict the diagram to a viewport
 /// window (and/or merge rects first); polygons are window-clipped first,
-/// as in the mask writers. The default view is the whole artwork and
-/// reproduces the raw-vector walk exactly.
+/// as in the mask writers. The default view is the whole artwork: the
+/// raw-vector walk, which builds no layer index.
 [[nodiscard]] std::vector<Stick> sticksOf(const cell::FlatLayout& flat,
                                           const layout::ViewOptions& view = {});
 
-/// Text summary (counts per layer + extents).
-[[nodiscard]] std::string sticksText(const std::vector<Stick>& sticks);
+/// Text summary of the whole artwork's sticks: the stick count per layer
+/// and their total length in lambda. It equals a summary of
+/// `sticksOf(flat)`, but reads the rects and polygons in place through a
+/// whole-artwork View, so no stick is built.
+[[nodiscard]] std::string sticksText(const cell::FlatLayout& flat);
 
 /// SVG rendering with the Mead–Conway colours, single-width lines. The
 /// optional title is user text and is XML-escaped (`layout::xmlEscape`).

@@ -5,7 +5,6 @@
 #include "icl/parser.hpp"
 #include "lint/lint.hpp"
 
-#include <sstream>
 #include <utility>
 
 namespace bb::svc {
@@ -210,13 +209,13 @@ EmitResponse CompileService::emitImpl(const CompileRequest& req, std::string_vie
     resp.latency = Clock::now() - t0;
     return resp;
   }
-  std::ostringstream os;
-  if (!reps::EmitterRegistry::global().emit(*compiled.chip, format, os, eopts)) {
+  const reps::Emitter* e = reps::EmitterRegistry::global().find(format);
+  if (e == nullptr) {
     resp.diags.error({}, "unknown emitter format '" + std::string(format) + "'");
     resp.latency = Clock::now() - t0;
     return resp;
   }
-  resp.payload = std::move(os).str();
+  resp.payload = e->emitToString(*compiled.chip, eopts);
   resp.ok = true;
   resp.latency = Clock::now() - t0;
   return resp;

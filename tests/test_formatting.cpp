@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <charconv>
 #include <cstdint>
 #include <limits>
 #include <locale>
@@ -96,6 +97,79 @@ TEST(TextBuffer, CoordinateLikeSweepMatchesOstream) {
     const auto raw = static_cast<std::int64_t>(lcg >> 24) % 4000000 - 2000000;
     const double v = static_cast<double>(raw >> (i % 12)) * scales[i % 5] + 10;
     if (viaBuffer(v) != viaStream(v)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+/// The general path's bytes, which the multiple-of-1/8 fast path must
+/// reproduce: `to_chars(general, 6)`, i.e. `%.6g`.
+std::string generalSix(double v) {
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 6);
+  return std::string(buf, r.ptr);
+}
+
+TEST(TextBuffer, EighthsFastPathEdgesMatchGeneral) {
+  // Seventh significant digit: the fast path must hand these on.
+  EXPECT_EQ(viaBuffer(99999.875), "99999.9");
+  EXPECT_EQ(viaBuffer(12345.125), "12345.1");
+  EXPECT_EQ(viaBuffer(123456.5), "123456");  // a tie goes to even
+  EXPECT_EQ(viaBuffer(123457.5), "123458");
+  // Rounding up to 1e6 switches to the exponent form.
+  EXPECT_EQ(viaBuffer(999999.5), "1e+06");
+  EXPECT_EQ(viaBuffer(999999.875), "1e+06");
+  EXPECT_EQ(viaBuffer(-999999.875), "-1e+06");
+  // Six digits exactly, and values with no integer digits.
+  EXPECT_EQ(viaBuffer(999999.0), "999999");
+  EXPECT_EQ(viaBuffer(99999.5), "99999.5");
+  EXPECT_EQ(viaBuffer(999.875), "999.875");
+  EXPECT_EQ(viaBuffer(0.125), "0.125");
+  EXPECT_EQ(viaBuffer(-0.5), "-0.5");
+  EXPECT_EQ(viaBuffer(0.0), "0");
+  EXPECT_EQ(viaBuffer(-0.0), "-0");
+  for (double v : {99999.875, 12345.125, 123456.5, 999999.5, 999999.875, 999999.0, 0.125, -0.5,
+                   0.0, -0.0}) {
+    EXPECT_EQ(viaBuffer(v), generalSix(v)) << generalSix(v);
+    expectSame(v);
+  }
+}
+
+TEST(TextBuffer, EveryEighthInRangeMatchesGeneral) {
+  // Every multiple of 1/8 in [-2^16, 2^16].
+  int mismatches = 0;
+  for (std::int64_t k = -(std::int64_t{1} << 19); k <= (std::int64_t{1} << 19); ++k) {
+    const double v = static_cast<double>(k) / 8;
+    if (viaBuffer(v) != generalSix(v)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(TextBuffer, SeededEighthsQuartersHalvesAndFallbacksMatchGeneral) {
+  std::uint64_t lcg = 0x9E3779B97F4A7C15ull;
+  const auto next = [&lcg] {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return lcg;
+  };
+  int mismatches = 0;
+  const auto check = [&](double v) {
+    if (viaBuffer(v) != generalSix(v)) {
+      ++mismatches;
+      ADD_FAILURE() << "value " << generalSix(v) << " printed as " << viaBuffer(v);
+    }
+  };
+  const double scales[] = {0.125, 0.25, 0.5};
+  for (int i = 0; i < 300000; ++i) {
+    // k/8, k/4 and k/2 with |k| up to 2^40 (scaled by 8, 4 and 2), and
+    // magnitudes spread over every digit count by shifting.
+    const auto raw = static_cast<std::int64_t>(next() >> 23) - (std::int64_t{1} << 40);
+    check(static_cast<double>(raw >> (i % 41)) * scales[i % 3]);
+  }
+  // Values the fast path must leave to the general one.
+  check(0.55);
+  for (std::int64_t k = -20000; k <= 20000; ++k) {
+    check(0.625 * static_cast<double>(k) + 0.01);  // not a multiple of 1/8
+    check(0.625 * static_cast<double>(k));
+    check(2.5e-3 * static_cast<double>(k));
   }
   EXPECT_EQ(mismatches, 0);
 }

@@ -133,6 +133,46 @@ TEST(Cif, SymbolIdPastIntIsDiagnosed) {
   EXPECT_EQ(res.top->name(), "cif_2147483647");
 }
 
+TEST(Cif, CoordinateBeyondTheLimitIsDiagnosed) {
+  // Box corners used to overflow `long long` near its limit
+  // (`cx - w / 2 + w`); every B, W and P operand and every C offset is
+  // now held to +-geom::kCoordLimit (2^30).
+  const struct {
+    const char* text;
+    const char* value;
+  } cases[] = {
+      {"DS 1; L NM; B 4 4 9223372036854775806 0; DF; E", "9223372036854775806"},
+      {"DS 1; L NM; B 1073741825 4 0 0; DF; E", "1073741825"},
+      {"DS 1; L NM; B 4 4 0 -1073741825; DF; E", "-1073741825"},
+      {"DS 1; L NM; W 1073741825 0 0 8 0; DF; E", "1073741825"},
+      {"DS 1; L NM; W 2 0 0 1073741825 0; DF; E", "1073741825"},
+      {"DS 1; L NM; P 0 0 8 0 8 -1073741825; DF; E", "-1073741825"},
+      {"DS 1; L NM; B 4 4 0 0; DF; DS 2; C 1 T 1073741825 0; DF; E", "1073741825"},
+      {"DS 1; L NM; B 4 4 0 0; DF; C 1 T 0 -1073741825; E", "-1073741825"},
+  };
+  for (const auto& c : cases) {
+    CellLibrary lib;
+    const auto res = parseCif(c.text, lib);
+    EXPECT_FALSE(res.ok) << c.text;
+    EXPECT_EQ(res.error, "coordinate " + std::string(c.value) + " is out of range") << c.text;
+  }
+  // +-2^30 itself still parses, and the box keeps its exact corners.
+  CellLibrary lib;
+  const auto res = parseCif(
+      "DS 1; L NM; B 1073741824 1073741824 1073741824 -1073741824; "
+      "W 1073741824 -1073741824 0 1073741824 0; P -1073741824 0 1073741824 0 0 1073741824; "
+      "DF; DS 2; C 1 T 1073741824 -1073741824; DF; C 2 T -1073741824 1073741824; E",
+      lib);
+  ASSERT_TRUE(res.ok) << res.error;
+  // Symbol 1's box spans [lim/2, 3lim/2] x [-3lim/2, -lim/2]; symbol 2,
+  // the top, calls it at (lim, -lim).
+  const geom::Coord lim = geom::kCoordLimit;
+  const cell::FlatLayout flat = cell::flatten(*res.top);
+  EXPECT_EQ(flat.on(Layer::Metal).front(),
+            (Rect{3 * lim / 2, -5 * lim / 2, 5 * lim / 2, -3 * lim / 2}));
+  EXPECT_EQ(flat.polygons.size(), 1u);
+}
+
 TEST(Cif, CommentsSkipped) {
   CellLibrary lib;
   const auto res = parseCif("( a (nested) comment ); DS 1 125 2; 9 x; L NM; B 8 8 4 4; DF; E",

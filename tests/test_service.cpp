@@ -891,25 +891,35 @@ TEST(CompiledChip, ConcurrentFirstAccessBuildsEachArtifactOnce) {
 }
 
 TEST(CompiledChip, ConcurrentFirstEmitsLintAndDrcMatchASerialRun) {
-  // Four consumers start at once on a freshly compiled chip whose
+  // Five consumers start at once on a freshly compiled chip whose
   // artifacts and layer indexes are all unbuilt: spice and lint extract
-  // flatCore(), sticks-svg tiles it, DRC checks flatTop(); lint and DRC
-  // fan out over the pool at full width. Each output must equal a serial
-  // run's on a second compile. Under TSan this is the race check on the
-  // lazily built layer indexes: nothing prepares the chip first.
+  // flatCore(); a tiled sticks-svg walks its tiles over the pool, querying
+  // flatCore()'s layer indexes, while a whole-artwork sticks-svg reads
+  // the same layers in place; DRC checks flatTop(). Lint and DRC fan out
+  // over the pool at full width. Each output must equal a serial run's
+  // on a second compile. Under TSan this is the race check on the lazily
+  // built layer indexes: nothing prepares the chip first.
   const icl::ChipDesc desc = core::samples::largeChip(16, 8);
+  auto serialChip = core::compileChip(desc);
+  ASSERT_TRUE(serialChip) << serialChip.diagnostics().toString();
+  // Tiles a quarter of the core's width wide (the core is the same on
+  // both compiles, so the raced chip's flatten is left unbuilt).
+  reps::EmitterOptions tiled;
+  tiled.tileSize = (*serialChip)->flatCore().bbox().width() / 4;
+  ASSERT_GT(layout::View((*serialChip)->flatCore(), tiled).tileCount(), 4u);
   lint::LintOptions lintOpts;
   lintOpts.threads = 0;
   drc::DrcOptions drcOpts;
   drcOpts.threads = 0;
   const drc::DeckChecker checker(tech::meadConwayRules(), drcOpts);
   const reps::EmitterRegistry& reg = reps::EmitterRegistry::global();
-  constexpr std::size_t kJobs = 4;
+  constexpr std::size_t kJobs = 5;
   const auto job = [&](const core::CompiledChip& chip, std::size_t k) -> std::string {
     switch (k) {
       case 0: return reg.find("spice")->emitToString(chip);
-      case 1: return reg.find("sticks-svg")->emitToString(chip);
+      case 1: return reg.find("sticks-svg")->emitToString(chip, tiled);
       case 2: return lint::lintChip(chip, lintOpts).toJson();
+      case 3: return reg.find("sticks-svg")->emitToString(chip);
       default: {
         const drc::DrcReport rep = checker.check(chip.flatTop(), chip.top->boundary());
         std::string out = std::to_string(rep.violations.size()) + " violations\n";
@@ -921,8 +931,6 @@ TEST(CompiledChip, ConcurrentFirstEmitsLintAndDrcMatchASerialRun) {
     }
   };
 
-  auto serialChip = core::compileChip(desc);
-  ASSERT_TRUE(serialChip) << serialChip.diagnostics().toString();
   std::array<std::string, kJobs> serial;
   for (std::size_t k = 0; k < kJobs; ++k) serial[k] = job(**serialChip, k);
 

@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <tuple>
 
@@ -504,6 +505,95 @@ TEST(PolygonWindow, TiledEmissionEmitsSpanningPolygonExactlyOnce) {
   std::size_t rectCount = 0;
   for (Layer l : tech::kAllLayers) rectCount += flat.on(l).size();
   EXPECT_EQ(st.boundaries, 1u + rectCount);
+}
+
+// ------------------------------------- whole-artwork views read in place
+
+/// The `sticksText` that summed an already-built stick vector, verbatim
+/// on an ostringstream.
+std::string refSticksText(const std::vector<reps::Stick>& sticks) {
+  std::map<Layer, std::size_t> perLayer;
+  Coord totalLen = 0;
+  for (const reps::Stick& s : sticks) {
+    ++perLayer[s.layer];
+    totalLen += geom::manhattan(s.a, s.b);
+  }
+  std::ostringstream os;
+  os << "sticks diagram: " << sticks.size() << " sticks, total length "
+     << totalLen / geom::kUnitsPerLambda << "L\n";
+  for (const auto& [l, n] : perLayer) {
+    os << "  " << tech::layerName(l) << ": " << n << "\n";
+  }
+  return os.str();
+}
+
+TEST(WholeArtwork, SticksTextEqualsTheStickVectorSummary) {
+  for (const icl::ChipDesc& desc :
+       {core::samples::smallChip(4), core::samples::largeChip(16, 8),
+        core::samples::prototypeChip(), core::samples::segmentedChip(8)}) {
+    auto chip = core::compileChip(desc);
+    ASSERT_TRUE(chip) << chip.diagnostics().toString();
+    const FlatLayout& flat = (*chip)->flatCore();
+    EXPECT_EQ(reps::sticksText(flat), refSticksText(reps::sticksOf(flat))) << desc.name;
+  }
+  const FlatLayout synthetic = makeFlat(300);
+  EXPECT_EQ(reps::sticksText(synthetic), refSticksText(reps::sticksOf(synthetic)));
+
+  // Imported polygons on two layers, one taller than wide: a polygon's
+  // stick is its bbox's horizontal centerline, whatever its height.
+  cell::CellLibrary lib;
+  const layout::CifParseResult res = layout::parseCif(
+      "DS 1 125 2; 9 polys; L NM; P 0 0 80 0 80 80; B 8 8 200 4; "
+      "L NP; P 0 100 10 100 10 190 0 190; B 4 40 -30 20; DF; E",
+      lib);
+  ASSERT_TRUE(res.ok) << res.error;
+  const FlatLayout imported = cell::flatten(*res.top);
+  ASSERT_EQ(imported.polygons.size(), 2u);
+  const std::string text = reps::sticksText(imported);
+  EXPECT_EQ(text, refSticksText(reps::sticksOf(imported)));
+  EXPECT_EQ(text, "sticks diagram: 4 sticks, total length 34L\n  poly: 2\n  metal: 2\n");
+}
+
+TEST(WholeArtwork, FullSvgAndSticksEmitsBuildNoLayerIndex) {
+  auto compiled = core::compileChip(core::samples::largeChip(16, 8));
+  ASSERT_TRUE(compiled) << compiled.diagnostics().toString();
+  const core::CompiledChip& chip = **compiled;
+  const std::size_t topBytes = chip.flatTop().approxBytes();
+  const std::size_t coreBytes = chip.flatCore().approxBytes();
+  const reps::EmitterRegistry& reg = reps::EmitterRegistry::global();
+  for (const char* name : {"svg", "sticks-svg", "sticks"}) {
+    EXPECT_FALSE(reg.find(name)->emitToString(chip).empty()) << name;
+    EXPECT_EQ(chip.flatTop().approxBytes(), topBytes) << name;
+    EXPECT_EQ(chip.flatCore().approxBytes(), coreBytes) << name;
+  }
+
+  // A window equal to the bbox goes through the layer indexes, building
+  // them, and still yields the whole-artwork view's rects.
+  ViewOptions atBbox;
+  atBbox.window = chip.flatTop().bbox();
+  const View whole{chip.flatTop()};
+  const View windowed{chip.flatTop(), atBbox};
+  for (Layer l : tech::kAllLayers) {
+    EXPECT_EQ(windowed.rectsOn(l), whole.rectsOn(l)) << tech::layerName(l);
+  }
+  EXPECT_GT(chip.flatTop().approxBytes(), topBytes);
+}
+
+TEST(WholeArtwork, EmptyRectOutsideTheBboxIsDroppedLikeAWindowedQuery) {
+  // bbox() skips empty rects, so one can lie outside the whole-artwork
+  // window; the index query never returned it, and neither may the
+  // in-place walk.
+  FlatLayout flat;
+  flat.on(Layer::Metal) = {Rect{0, 0, 10, 10}, Rect{100, 100, 100, 120}, Rect{2, 2, 4, 4}};
+  flat.on(Layer::Poly) = {Rect{1, 1, 5, 5}};
+  ViewOptions atBbox;
+  atBbox.window = flat.bbox();
+  const View whole{flat};
+  for (Layer l : {Layer::Metal, Layer::Poly}) {
+    EXPECT_EQ(whole.rectsOn(l), View(flat, atBbox).rectsOn(l)) << tech::layerName(l);
+  }
+  EXPECT_EQ(whole.rectsOn(Layer::Metal), (std::vector<Rect>{Rect{0, 0, 10, 10}, Rect{2, 2, 4, 4}}));
+  EXPECT_EQ(reps::sticksText(flat), refSticksText(reps::sticksOf(flat)));
 }
 
 // ----------------------------------------------------------- XML escaping
