@@ -32,17 +32,8 @@ using namespace bb;
 
 namespace {
 
-/// Mean seconds per call over `iters` calls of `fn`.
-template <class Fn>
-double meanSeconds(int iters, Fn&& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count() / iters;
-}
-
 double compileOnlySeconds(const icl::ChipDesc& desc, int iters) {
-  return meanSeconds(iters, [&] {
+  return bench::meanSeconds(iters, [&] {
     auto chip = bench::compile(desc);
     benchmark::DoNotOptimize(chip->stats.shapeCount);
   });
@@ -59,7 +50,7 @@ std::size_t emitAllFormats(const core::CompiledChip& chip) {
 }
 
 double fullCompileSeconds(const icl::ChipDesc& desc, int iters = 5) {
-  return meanSeconds(iters, [&] {
+  return bench::meanSeconds(iters, [&] {
     auto chip = bench::compile(desc);
     benchmark::DoNotOptimize(emitAllFormats(*chip));
   });

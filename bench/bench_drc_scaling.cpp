@@ -7,6 +7,12 @@
 /// violation lists are bit-identical, so the speedup is never bought
 /// with a wrong answer.
 ///
+/// The chip table then times the two layers `verify` spends its DRC in,
+/// on warm compiled chips (flatTop and its indexes built): building the
+/// seven flatTop layer indexes anew (`drc_chip_index_build`) and one
+/// `DeckChecker::check` of the die (`drc_chip_check`), n = flatTop
+/// rects.
+///
 /// Env knobs: BB_BENCH_SMOKE=1 caps the sweep for CI (and skips the
 /// google-benchmark timings); BB_BENCH_FULL=1 extends brute-force to
 /// the largest sizes.
@@ -17,6 +23,7 @@
 #include "drc/drc.hpp"
 #include "tech/rules.hpp"
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -122,6 +129,40 @@ void printTable(bool smoke) {
               full ? "" : "; BB_BENCH_FULL=1 for the full curve");
 }
 
+void printChipTable(bool smoke) {
+  const int iters = smoke ? 2 : 20;
+  std::printf("== DRC-CHIP: index build and check on a warm compiled chip (mean of %d) ==\n",
+              iters);
+  std::printf("%-18s %8s %14s %10s %11s\n", "chip", "rects", "index_build_ms", "check_ms",
+              "violations");
+  const drc::DeckChecker checker(tech::meadConwayRules());
+  const struct {
+    const char* label;
+    icl::ChipDesc desc;
+  } chips[] = {{"largeChip(16,8)", core::samples::largeChip(16, 8)},
+               {"largeChip(64,16)", core::samples::largeChip(64, 16)}};
+  for (const auto& c : chips) {
+    const auto chip = bench::compile(c.desc);
+    const cell::FlatLayout& flat = chip->flatTop();
+    flat.buildIndexes();
+    const auto n = static_cast<long long>(flat.totalCount());
+    const double buildS = bench::meanSeconds(iters, [&] {
+      std::array<geom::RectIndex, tech::kLayerCount> idx;
+      for (std::size_t l = 0; l < tech::kLayerCount; ++l) idx[l] = geom::RectIndex(flat.rects[l]);
+      benchmark::DoNotOptimize(idx);
+    });
+    std::size_t violations = 0;
+    const double checkS = bench::meanSeconds(iters, [&] {
+      violations = checker.check(flat, chip->top->boundary()).violations.size();
+    });
+    bench::BenchJson::instance().recordRun("drc_chip_index_build", n, buildS);
+    bench::BenchJson::instance().recordRun("drc_chip_check", n, checkS);
+    std::printf("%-18s %8lld %14.3f %10.3f %11zu\n", c.label, n, buildS * 1e3, checkS * 1e3,
+                violations);
+  }
+  std::printf("\n");
+}
+
 void BM_DrcIndexed(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const cell::FlatLayout flat = makeFlat(n);
@@ -147,6 +188,7 @@ BENCHMARK(BM_DrcBrute)->RangeMultiplier(4)->Range(1024, 16384)->Unit(benchmark::
 int main(int argc, char** argv) {
   const bool smoke = std::getenv("BB_BENCH_SMOKE") != nullptr;
   printTable(smoke);
+  printChipTable(smoke);
   if (!bench::BenchJson::instance().write()) {
     std::fprintf(stderr, "FATAL: failed to land perf rows in BENCH.json (cause above)\n");
     return 1;

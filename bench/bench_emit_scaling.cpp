@@ -170,15 +170,6 @@ void printTable(bool smoke) {
   std::printf("(viewport 1/8 x 1/8 of bbox, tile pitch 200L)\n\n");
 }
 
-/// Mean seconds per call over `iters` calls of `fn`.
-template <typename F>
-double meanSeconds(int iters, F&& fn) {
-  return timeIt([&] {
-           for (int i = 0; i < iters; ++i) fn();
-         }) /
-         iters;
-}
-
 void printChipTable(bool smoke) {
   const int iters = smoke ? 2 : 20;
   const reps::EmitterRegistry& reg = reps::EmitterRegistry::global();
@@ -190,7 +181,7 @@ void printChipTable(bool smoke) {
                {"largeChip(64,16)", core::samples::largeChip(64, 16)}};
   for (const auto& c : chips) {
     std::unique_ptr<core::CompiledChip> chip;
-    const double compileS = meanSeconds(iters, [&] { chip = bench::compile(c.desc); });
+    const double compileS = bench::meanSeconds(iters, [&] { chip = bench::compile(c.desc); });
     // Warm: a first emit of every format builds what the emitters read
     // (the flattens, the core netlist), so the rows time the writers.
     for (const std::string_view name : reg.names()) {
@@ -203,7 +194,7 @@ void printChipTable(bool smoke) {
     for (const std::string_view name : reg.names()) {
       const reps::Emitter* e = reg.find(name);
       std::size_t bytes = 0;
-      const double s = meanSeconds(iters, [&] { bytes = e->emitToString(*chip).size(); });
+      const double s = bench::meanSeconds(iters, [&] { bytes = e->emitToString(*chip).size(); });
       allS += s;
       std::string row = "emit_chip_" + std::string(name);
       std::replace(row.begin(), row.end(), '-', '_');

@@ -4,6 +4,11 @@
 /// contact cut). Rows where both engines run assert the extracted
 /// netlists are bit-identical.
 ///
+/// The chip table then times the core extraction `verify`'s lint runs,
+/// on warm compiled chips (flatCore and its indexes built):
+/// `extractFlat` of the core with its bristle labels and its boundary
+/// (`extract_chip_core`), n = flatCore rects.
+///
 /// Env knobs: BB_BENCH_SMOKE=1 caps the sweep for CI (and skips the
 /// google-benchmark timings); BB_BENCH_FULL=1 extends brute-force to
 /// the largest sizes.
@@ -117,6 +122,36 @@ void printTable(bool smoke) {
               full ? "" : "; BB_BENCH_FULL=1 for the full curve");
 }
 
+void printChipTable(bool smoke) {
+  const int iters = smoke ? 2 : 20;
+  std::printf("== EXTRACT-CHIP: core extraction on a warm compiled chip (mean of %d) ==\n",
+              iters);
+  std::printf("%-18s %8s %10s %10s %10s\n", "chip", "rects", "ms", "devices", "nets");
+  const struct {
+    const char* label;
+    icl::ChipDesc desc;
+  } chips[] = {{"largeChip(16,8)", core::samples::largeChip(16, 8)},
+               {"largeChip(64,16)", core::samples::largeChip(64, 16)}};
+  for (const auto& c : chips) {
+    const auto chip = bench::compile(c.desc);
+    const cell::FlatLayout& flat = chip->flatCore();
+    flat.buildIndexes();
+    const std::vector<extract::NetLabel> labels = extract::labelsOf(*chip->core);
+    extract::ExtractOptions opts;
+    opts.boundary = chip->core->boundary();
+    const auto n = static_cast<long long>(flat.totalCount());
+    std::size_t devices = 0, nets = 0;
+    const double s = bench::meanSeconds(iters, [&] {
+      const extract::ExtractResult ex = extract::extractFlat(flat, labels, opts);
+      devices = ex.netlist.transistors().size();
+      nets = ex.netCount;
+    });
+    bench::BenchJson::instance().recordRun("extract_chip_core", n, s);
+    std::printf("%-18s %8lld %10.3f %10zu %10zu\n", c.label, n, s * 1e3, devices, nets);
+  }
+  std::printf("\n");
+}
+
 void BM_ExtractIndexed(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const cell::FlatLayout flat = makeFlat(n);
@@ -148,6 +183,7 @@ BENCHMARK(BM_ExtractBrute)
 int main(int argc, char** argv) {
   const bool smoke = std::getenv("BB_BENCH_SMOKE") != nullptr;
   printTable(smoke);
+  printChipTable(smoke);
   if (!bench::BenchJson::instance().write()) {
     std::fprintf(stderr, "FATAL: failed to land perf rows in BENCH.json (cause above)\n");
     return 1;

@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -199,6 +200,14 @@ inline std::unique_ptr<core::CompiledChip> compile(const icl::ChipDesc& desc,
     std::abort();
   }
   return std::move(*result);
+}
+
+/// Mean wall seconds per call over `iters` calls of `fn`.
+template <typename F>
+double meanSeconds(int iters, F&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < iters; ++i) fn();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count() / iters;
 }
 
 inline double lambda2(geom::Coord area) {

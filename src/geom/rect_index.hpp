@@ -21,20 +21,17 @@
 /// Queries are const and touch no mutable state, so a built index can be
 /// shared across threads.
 ///
-/// A rect spanning several cells is bucketed in each of them. Each CSR
-/// entry carries two flag bits beside the rect index: "this cell is in the
-/// rect's first column" and "... first row". A query reports an entry only
-/// in its first cell inside the window — `(homeCol || gx == qx0) &&
-/// (homeRow || gy == qy0)` — so de-duplication costs no division and no
-/// per-rect side array. The flags take the top two bits of a 32-bit
-/// entry, which caps an index at 2^30 rects; larger inputs throw
-/// `std::length_error`.
+/// The rects sit on `detail::BucketGrid` (bucket_grid.hpp), the grid
+/// `SegmentIndex` shares: a power-of-two pitch, so a query maps its
+/// window to cells with shifts, and home-cell flag bits that de-duplicate
+/// rects spanning several cells. It caps an index at 2^30 rects; larger
+/// inputs throw `std::length_error`.
 
 #pragma once
 
+#include "geom/bucket_grid.hpp"
 #include "geom/geometry.hpp"
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -45,23 +42,22 @@ class RectIndex {
   /// An empty index (all queries return nothing).
   RectIndex() = default;
 
-  /// Index `rects`, borrowed (see the file note). `cellSize` == 0 picks
-  /// a grid pitch from the average rect extent (clamped so the grid never
-  /// exceeds ~4 cells per rect). Throws `std::length_error` for more than
-  /// 2^30 rects.
+  /// Index `rects`, borrowed (see the file note). The grid pitch is the
+  /// smallest power of two >= the average rect extent, or >= `cellSize`
+  /// when one is given, doubled until the grid has at most ~4 cells per
+  /// rect; `cellSize()` reports it. Throws `std::length_error` for more
+  /// than 2^30 rects.
   explicit RectIndex(std::span<const Rect> rects, Coord cellSize = 0);
   RectIndex(std::vector<Rect>&&, Coord = 0) = delete;  ///< would dangle
 
   [[nodiscard]] std::size_t size() const noexcept { return rects_.size(); }
   [[nodiscard]] bool empty() const noexcept { return rects_.empty(); }
   [[nodiscard]] const Rect& rect(std::size_t i) const noexcept { return rects_[i]; }
-  [[nodiscard]] Coord cellSize() const noexcept { return cs_; }
+  [[nodiscard]] Coord cellSize() const noexcept { return grid_.pitch(); }
 
   /// Resident-size estimate: the CSR bucket arrays (the rects are the
   /// caller's).
-  [[nodiscard]] std::size_t approxBytes() const noexcept {
-    return (start_.size() + items_.size()) * sizeof(std::uint32_t);
-  }
+  [[nodiscard]] std::size_t approxBytes() const noexcept { return grid_.approxBytes(); }
 
   /// Indices of all rects that touch `q` (shared edges/corners count —
   /// the electrical-connectivity predicate). Ascending, deduplicated.
@@ -76,18 +72,8 @@ class RectIndex {
   void queryWithin(const Rect& q, Coord margin, std::vector<int>& out) const;
 
  private:
-  void build();
-  [[nodiscard]] Coord gridX(Coord x) const noexcept;
-  [[nodiscard]] Coord gridY(Coord y) const noexcept;
-
   std::span<const Rect> rects_;
-  Coord cs_ = 1;             ///< grid pitch
-  Coord ox_ = 0, oy_ = 0;    ///< grid origin (bbox lower-left)
-  std::int64_t nx_ = 0, ny_ = 0;
-  std::vector<std::uint32_t> start_;  ///< CSR offsets, nx*ny + 1
-  /// Bucketed entries: rect index in the low 30 bits, home-column and
-  /// home-row flags in the top two (see the file note).
-  std::vector<std::uint32_t> items_;
+  detail::BucketGrid grid_;
 };
 
 /// Reference O(n^2) all-pairs connected components (the pre-index

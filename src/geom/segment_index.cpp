@@ -1,16 +1,10 @@
 #include "geom/segment_index.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 namespace bb::geom {
 
 namespace {
-
-/// Floor division for possibly-negative offsets.
-constexpr Coord floorDiv(Coord v, Coord d) noexcept {
-  return v >= 0 ? v / d : -((-v + d - 1) / d);
-}
 
 /// Orientation of c relative to the directed line a->b.
 constexpr Coord cross3(Point a, Point b, Point c) noexcept {
@@ -63,105 +57,11 @@ bool segmentTouchesRect(const Segment& s, const Rect& r) noexcept {
 }
 
 SegmentIndex::SegmentIndex(std::vector<Segment> segs, Coord cellSize)
-    : segs_(std::move(segs)), cs_(cellSize) {
-  build();
-}
-
-void SegmentIndex::build() {
-  const std::size_t n = segs_.size();
-  if (n == 0) {
-    cs_ = 1;
-    return;
-  }
-  // Direct min/max accumulation — NOT Rect::unionWith, which treats
-  // zero-area rects as identity and would ignore every axis-parallel
-  // segment's degenerate bbox.
-  Rect bb = segs_[0].bbox();
-  for (const Segment& s : segs_) {
-    const Rect sb = s.bbox();
-    bb.x0 = std::min(bb.x0, sb.x0);
-    bb.y0 = std::min(bb.y0, sb.y0);
-    bb.x1 = std::max(bb.x1, sb.x1);
-    bb.y1 = std::max(bb.y1, sb.y1);
-  }
-  ox_ = bb.x0;
-  oy_ = bb.y0;
-
-  if (cs_ <= 0) {
-    // Pitch the grid at the average segment extent so a typical edge
-    // lands in O(1) cells and a typical cell holds O(1) edges.
-    Coord ext = 0;
-    for (const Segment& s : segs_) {
-      const Rect sb = s.bbox();
-      ext += sb.width() + sb.height();
-    }
-    cs_ = std::max<Coord>(ext / static_cast<Coord>(2 * n), 1);
-  }
-  // Cap the grid at ~4 cells per segment so degenerate inputs cannot
-  // blow up memory.
-  const std::int64_t maxCells = static_cast<std::int64_t>(4 * n + 64);
-  for (;;) {
-    nx_ = static_cast<std::int64_t>((bb.x1 - ox_) / cs_) + 1;
-    ny_ = static_cast<std::int64_t>((bb.y1 - oy_) / cs_) + 1;
-    if (nx_ * ny_ <= maxCells) break;
-    cs_ *= 2;
-  }
-
-  // CSR fill: count entries per cell, prefix-sum, then place. A segment
-  // occupies every cell its bbox overlaps (cheap, conservative; the
-  // exact predicate filters at query time).
-  start_.assign(static_cast<std::size_t>(nx_ * ny_) + 1, 0);
-  auto cellRange = [&](const Segment& s, auto&& f) {
-    const Rect sb = s.bbox();
-    const Coord gx0 = gridX(sb.x0), gx1 = gridX(sb.x1);
-    const Coord gy0 = gridY(sb.y0), gy1 = gridY(sb.y1);
-    for (Coord gy = gy0; gy <= gy1; ++gy) {
-      for (Coord gx = gx0; gx <= gx1; ++gx) {
-        f(static_cast<std::size_t>(gy * nx_ + gx));
-      }
-    }
-  };
-  for (const Segment& s : segs_) {
-    cellRange(s, [&](std::size_t c) { ++start_[c + 1]; });
-  }
-  std::partial_sum(start_.begin(), start_.end(), start_.begin());
-  items_.resize(start_.back());
-  std::vector<std::uint32_t> fill(start_.begin(), start_.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    cellRange(segs_[i], [&](std::size_t c) {
-      items_[fill[c]++] = static_cast<std::uint32_t>(i);
-    });
-  }
-}
-
-Coord SegmentIndex::gridX(Coord x) const noexcept { return floorDiv(x - ox_, cs_); }
-Coord SegmentIndex::gridY(Coord y) const noexcept { return floorDiv(y - oy_, cs_); }
+    : segs_(std::move(segs)),
+      grid_(segs_.size(), cellSize, [this](std::size_t i) { return segs_[i].bbox(); }) {}
 
 void SegmentIndex::queryTouching(const Rect& q, std::vector<int>& out) const {
-  out.clear();
-  if (segs_.empty()) return;
-  const Coord qx0 = std::max<Coord>(gridX(q.x0), 0);
-  const Coord qx1 = std::min<Coord>(gridX(q.x1), nx_ - 1);
-  const Coord qy0 = std::max<Coord>(gridY(q.y0), 0);
-  const Coord qy1 = std::min<Coord>(gridY(q.y1), ny_ - 1);
-  for (Coord gy = qy0; gy <= qy1; ++gy) {
-    for (Coord gx = qx0; gx <= qx1; ++gx) {
-      const std::size_t c = static_cast<std::size_t>(gy * nx_ + gx);
-      for (std::uint32_t k = start_[c]; k < start_[c + 1]; ++k) {
-        const std::uint32_t i = items_[k];
-        const Rect sb = segs_[i].bbox();
-        // Report a multi-cell segment only from its first cell inside
-        // the query window — dedup without mutable state.
-        if (std::max(gridX(sb.x0), qx0) != gx || std::max(gridY(sb.y0), qy0) != gy) {
-          continue;
-        }
-        if (segmentTouchesRect(segs_[i], q)) out.push_back(static_cast<int>(i));
-      }
-    }
-  }
-  // Ascending order so consumers visit edges exactly as a brute scan
-  // would — indexed and brute results stay bit-identical.
-  std::sort(out.begin(), out.end());
+  grid_.query(q, out, [&](std::uint32_t i) { return segmentTouchesRect(segs_[i], q); });
 }
 
 std::vector<int> SegmentIndex::queryTouching(const Rect& q) const {

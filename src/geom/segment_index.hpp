@@ -11,12 +11,18 @@
 /// deduplicated, exactly filtered. Queries are const and touch no
 /// mutable state; a built index can be shared across threads. The index
 /// is a snapshot of the segments passed at construction.
+///
+/// It shares `RectIndex`'s grid, `detail::BucketGrid` (bucket_grid.hpp):
+/// a power-of-two pitch, so a query maps its window to cells with shifts,
+/// and home-cell flag bits that report a segment spanning several cells
+/// once without recomputing its cells. It caps an index at 2^30
+/// segments; larger inputs throw `std::length_error`.
 
 #pragma once
 
+#include "geom/bucket_grid.hpp"
 #include "geom/geometry.hpp"
 
-#include <cstdint>
 #include <vector>
 
 namespace bb::geom {
@@ -48,21 +54,21 @@ class SegmentIndex {
   /// An empty index (all queries return nothing).
   SegmentIndex() = default;
 
-  /// Index `segs`. `cellSize` == 0 picks a grid pitch from the average
-  /// segment extent (clamped so the grid never exceeds ~4 cells per
-  /// segment).
+  /// Index `segs`. The grid pitch is the smallest power of two >= the
+  /// average segment extent, or >= `cellSize` when one is given, doubled
+  /// until the grid has at most ~4 cells per segment; `cellSize()`
+  /// reports it. Throws `std::length_error` for more than 2^30 segments.
   explicit SegmentIndex(std::vector<Segment> segs, Coord cellSize = 0);
 
   [[nodiscard]] std::size_t size() const noexcept { return segs_.size(); }
   [[nodiscard]] bool empty() const noexcept { return segs_.empty(); }
   [[nodiscard]] const Segment& segment(std::size_t i) const noexcept { return segs_[i]; }
   [[nodiscard]] const std::vector<Segment>& segments() const noexcept { return segs_; }
-  [[nodiscard]] Coord cellSize() const noexcept { return cs_; }
+  [[nodiscard]] Coord cellSize() const noexcept { return grid_.pitch(); }
 
   /// Resident-size estimate (segment snapshot + CSR bucket arrays).
   [[nodiscard]] std::size_t approxBytes() const noexcept {
-    return segs_.size() * sizeof(Segment) +
-           (start_.size() + items_.size()) * sizeof(std::uint32_t);
+    return segs_.size() * sizeof(Segment) + grid_.approxBytes();
   }
 
   /// Indices of all segments that touch `q` (a shared endpoint or edge
@@ -79,16 +85,8 @@ class SegmentIndex {
   void queryWithin(const Rect& q, Coord margin, std::vector<int>& out) const;
 
  private:
-  void build();
-  [[nodiscard]] Coord gridX(Coord x) const noexcept;
-  [[nodiscard]] Coord gridY(Coord y) const noexcept;
-
   std::vector<Segment> segs_;
-  Coord cs_ = 1;           ///< grid pitch
-  Coord ox_ = 0, oy_ = 0;  ///< grid origin (bbox lower-left)
-  std::int64_t nx_ = 0, ny_ = 0;
-  std::vector<std::uint32_t> start_;  ///< CSR offsets, nx*ny + 1
-  std::vector<std::uint32_t> items_;  ///< segment indices, bucketed by cell
+  detail::BucketGrid grid_;  ///< over the segments' bboxes
 };
 
 }  // namespace bb::geom

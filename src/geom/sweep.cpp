@@ -199,15 +199,64 @@ std::vector<Rect> unionRects(const std::vector<Rect>& rs) {
   return out;
 }
 
-std::optional<Rect> CoverageQuery::gap(const Rect& region, const std::vector<Rect>& rects) {
-  if (region.isEmpty()) return std::nullopt;
+bool CoverageQuery::clip(const Rect& region, const std::vector<Rect>& rects) {
   clipped_.clear();
   for (const Rect& r : rects) {
     if (auto c = r.intersectWith(region)) {
-      if (*c == region) return std::nullopt;  // one rect covers it all
+      if (*c == region) return true;
       clipped_.push_back(*c);
     }
   }
+  return false;
+}
+
+bool CoverageQuery::clip(const Rect& region, const RectIndex& index) {
+  // Non-touching rects contribute no coverage, so the candidates answer
+  // exactly as the whole set would.
+  index.queryTouching(region, cand_);
+  clipped_.clear();
+  for (const int i : cand_) {
+    if (auto c = index.rect(static_cast<std::size_t>(i)).intersectWith(region)) {
+      if (*c == region) return true;
+      clipped_.push_back(*c);
+    }
+  }
+  return false;
+}
+
+std::optional<Rect> CoverageQuery::gap(const Rect& region, const std::vector<Rect>& rects) {
+  if (region.isEmpty() || clip(region, rects)) return std::nullopt;
+  return sweepGap(region);
+}
+
+std::optional<Rect> CoverageQuery::gap(const Rect& region, const RectIndex& index) {
+  if (region.isEmpty() || clip(region, index)) return std::nullopt;
+  return sweepGap(region);
+}
+
+bool CoverageQuery::covers(const Rect& region, const std::vector<Rect>& rects) {
+  return region.isEmpty() || clip(region, rects) || clipsCover(region);
+}
+
+bool CoverageQuery::covers(const Rect& region, const RectIndex& index) {
+  return region.isEmpty() || clip(region, index) || clipsCover(region);
+}
+
+bool CoverageQuery::clipsCover(const Rect& region) {
+  // Every clip lies inside the region, so each area is at most the
+  // region's and the saturated sum cannot overflow.
+  const Coord want = region.area();
+  Coord sum = 0;
+  for (const Rect& c : clipped_) sum = std::min(sum + c.area(), want);
+  if (sum < want) return false;
+  if (clipped_.size() == 2) {
+    const auto both = clipped_[0].intersectWith(clipped_[1]);
+    return clipped_[0].area() + clipped_[1].area() - (both ? both->area() : 0) == want;
+  }
+  return !sweepGap(region).has_value();
+}
+
+std::optional<Rect> CoverageQuery::sweepGap(const Rect& region) {
   if (clipped_.empty()) return region;
 
   ys_.clear();
@@ -259,14 +308,6 @@ std::optional<Rect> CoverageQuery::gap(const Rect& region, const std::vector<Rec
     prevX = x;
   }
   return gapInSlab(prevX, region.x1);
-}
-
-std::optional<Rect> CoverageQuery::gap(const Rect& region, const RectIndex& index) {
-  index.queryTouching(region, cand_);
-  touching_.clear();
-  touching_.reserve(cand_.size());
-  for (const int i : cand_) touching_.push_back(index.rect(static_cast<std::size_t>(i)));
-  return gap(region, touching_);
 }
 
 std::optional<Rect> coverageGap(const Rect& region, const std::vector<Rect>& rects) {

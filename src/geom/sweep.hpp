@@ -78,24 +78,37 @@ class CoverageQuery {
 
   /// Index-backed overload: considers only rects touching `region`
   /// (non-touching rects contribute no coverage, so the answer is
-  /// identical to scanning the whole set). This is the incremental
-  /// per-feature coverage primitive the DRC width/gate/contact checks
-  /// use against the per-layer `RectIndex`.
+  /// identical to scanning the whole set).
   [[nodiscard]] std::optional<Rect> gap(const Rect& region, const RectIndex& index);
 
-  /// Convenience: full-coverage predicate.
-  [[nodiscard]] bool covers(const Rect& region, const std::vector<Rect>& rects) {
-    return !gap(region, rects).has_value();
-  }
-  [[nodiscard]] bool covers(const Rect& region, const RectIndex& index) {
-    return !gap(region, index).has_value();
-  }
+  /// Full-coverage predicate: exactly `!gap(region, ...).has_value()`,
+  /// but decided without the sweep when arithmetic settles it. After
+  /// clipping the rects to `region`: one clip equal to `region` covers
+  /// it; clip areas summing (saturated at the region's area) below the
+  /// region's area cannot cover it, since a union never exceeds the sum;
+  /// two clips cover it iff their areas minus their overlap's equal the
+  /// region's. Only three or more partial clips run `gap`'s sweep. DRC's
+  /// coverage probes hand over a few candidates, and most are settled
+  /// by the first two tests.
+  [[nodiscard]] bool covers(const Rect& region, const std::vector<Rect>& rects);
+  /// Index-backed overload: clips the rects touching `region` straight
+  /// from the index. The per-feature coverage primitive DRC's width, gate
+  /// and contact checks use against the per-layer `RectIndex`.
+  [[nodiscard]] bool covers(const Rect& region, const RectIndex& index);
 
  private:
+  /// Clip `rects` / the index's rects touching `region` into `clipped_`;
+  /// true as soon as one clip equals `region` (which then covers it).
+  bool clip(const Rect& region, const std::vector<Rect>& rects);
+  bool clip(const Rect& region, const RectIndex& index);
+  /// `gap` over `clipped_`: the sweep.
+  std::optional<Rect> sweepGap(const Rect& region);
+  /// `covers` over `clipped_`, none of which equals `region`.
+  bool clipsCover(const Rect& region);
+
   std::vector<Coord> ys_;
   std::vector<detail::SweepEvent> events_;
   std::vector<Rect> clipped_;
-  std::vector<Rect> touching_;
   std::vector<int> cand_;
   std::vector<detail::TreeNode> nodes_;
   std::vector<std::pair<Coord, Coord>> runs_;

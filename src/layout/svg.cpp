@@ -107,11 +107,13 @@ std::string renderSvg(const cell::Cell& top, const cell::FlatLayout& flat,
     }
   }
   geom::TextBuffer os;
+  // The view's window is the artwork's bbox when no window is set.
+  const View view{flat, opts.view};
   const geom::Rect bb =
-      opts.view.window ? *opts.view.window : top.boundary().unionWith(flat.bbox());
+      opts.view.window ? view.window() : top.boundary().unionWith(view.window());
   openDoc(os, bb, opts);
   const Mapper m{bb, opts.pixelsPerUnit};
-  emitFlat(os, m, View{flat, opts.view}, opts.fillOpacity);
+  emitFlat(os, m, view, opts.fillOpacity);
   if (opts.drawBoundary) {
     const geom::Rect b = top.boundary();
     os << "<rect x=\"" << m.x(b.x0) << "\" y=\"" << m.y(b.y1) << "\" width=\""
@@ -129,18 +131,17 @@ std::string renderSvg(const cell::Cell& top, const cell::FlatLayout& flat,
 std::string renderSvg(const cell::FlatLayout& flat, const std::vector<SvgOverlayPoint>& overlay,
                       const SvgOptions& opts) {
   geom::TextBuffer os;
-  geom::Rect bb;
-  if (opts.view.window) {
-    bb = *opts.view.window;
-  } else {
-    bb = flat.bbox();
+  // The view's window is the artwork's bbox when no window is set.
+  const View view{flat, opts.view};
+  geom::Rect bb = view.window();
+  if (!opts.view.window) {
     for (const SvgOverlayPoint& p : overlay) {
       bb = bb.unionWith(geom::Rect{p.at.x, p.at.y, p.at.x, p.at.y});
     }
   }
   openDoc(os, bb, opts);
   const Mapper m{bb, opts.pixelsPerUnit};
-  emitFlat(os, m, View{flat, opts.view}, opts.fillOpacity);
+  emitFlat(os, m, view, opts.fillOpacity);
   for (const SvgOverlayPoint& p : overlay) {
     if (overlayVisible(opts, p.at)) emitOverlayPoint(os, m, p);
   }

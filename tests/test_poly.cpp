@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -392,6 +393,64 @@ TEST(SegIndex, DegenerateAndEmpty) {
   EXPECT_EQ(pts.queryTouching(Rect{0, 0, 10, 10}), (std::vector<int>{0}));
   EXPECT_TRUE(pts.queryTouching(Rect{6, 6, 10, 10}).empty());
   EXPECT_GT(pts.approxBytes(), 0u);
+}
+
+TEST(SegIndex, MultiCellSegmentsReportedOnceAtExplicitPitches) {
+  // Segments up to twenty pitches long span many grid cells, so every
+  // query de-duplicates. Coordinates go negative, a quarter of the
+  // segments are points and half are axis-parallel, and windows start
+  // inside a segment's cells, off the grid to the lower left, or past
+  // its upper right. Pitches are powers of two; a requested pitch rounds
+  // up to one.
+  EXPECT_EQ(SegmentIndex({Segment{{0, 0}, {20, 20}}, Segment{{5, 0}, {5, 12}}}, 3).cellSize(), 4);
+  for (const Coord cs : {Coord{1}, Coord{4}, Coord{16}}) {
+    const Coord span = 10 * cs;
+    std::mt19937 rng(static_cast<unsigned>(cs));
+    std::uniform_int_distribution<Coord> pos(-span, span);
+    std::vector<Segment> segs;
+    for (int i = 0; i < 240; ++i) {
+      const Point a{pos(rng), pos(rng)};
+      const Coord x = pos(rng), y = pos(rng);
+      switch (i % 4) {
+        case 0: segs.push_back({a, {x, y}}); break;    // any direction
+        case 1: segs.push_back({a, {x, a.y}}); break;  // horizontal
+        case 2: segs.push_back({a, {a.x, y}}); break;  // vertical
+        default: segs.push_back({a, a}); break;        // a point
+      }
+    }
+    segs.push_back({{-span, -span}, {span, span}});  // corner to corner
+    segs.push_back({{-span, span}, {span, -span}});
+    const SegmentIndex idx(segs, cs);
+    ASSERT_EQ(idx.cellSize(), cs);  // the grid cap kept the requested pitch
+
+    std::vector<Rect> windows;
+    std::uniform_int_distribution<Coord> far(-3 * span, 3 * span);
+    std::uniform_int_distribution<Coord> ext(0, 2 * span);
+    for (int k = 0; k < 150; ++k) {
+      const Coord x = far(rng), y = far(rng);
+      windows.emplace_back(x, y, x + ext(rng), y + ext(rng));
+    }
+    for (const Segment& sg : segs) {
+      const Rect b = sg.bbox();
+      if (b.width() <= cs && b.height() <= cs) continue;
+      // Lower-left corner inside the segment's bbox, past its first cell.
+      const Coord x = b.x0 + (b.width() + 1) / 2, y = b.y0 + (b.height() + 1) / 2;
+      windows.emplace_back(x, y, x + ext(rng), y + ext(rng));
+      windows.emplace_back(x, y, x, y);
+    }
+    windows.emplace_back(-5 * span, -5 * span, -2 * span, -2 * span);  // below/left of grid
+    windows.emplace_back(-5 * span, -5 * span, 5 * span, 5 * span);    // covers it all
+    windows.emplace_back(3 * span, 3 * span, 4 * span, 4 * span);      // above/right of grid
+
+    for (const Rect& q : windows) {
+      EXPECT_EQ(idx.queryTouching(q), bruteTouching(segs, q))
+          << "cellSize " << cs << " window " << geom::toString(q);
+      for (const Coord m : {Coord{1}, cs, 3 * cs + 1}) {
+        EXPECT_EQ(idx.queryWithin(q, m), bruteTouching(segs, q.expandedXY(m, m)))
+            << "cellSize " << cs << " margin " << m << " window " << geom::toString(q);
+      }
+    }
+  }
 }
 
 TEST(SegIndex, EdgesOfClosesTheRing) {

@@ -102,8 +102,11 @@ TEST(RectIndex, MultiCellRectsReportedOnceAtExplicitPitches) {
   // Rects up to ten pitches wide span many grid cells, so every query
   // de-duplicates. Coordinates go negative, some rects have zero width or
   // height, and windows start inside a multi-cell rect, off the grid to
-  // the lower left, or past its upper right.
-  for (const Coord cs : {Coord{1}, Coord{3}, Coord{16}}) {
+  // the lower left, or past its upper right. Pitches are powers of two;
+  // a requested pitch rounds up to one.
+  const auto few = randomRects(40, 20, 10, 5);
+  EXPECT_EQ(RectIndex(few, 3).cellSize(), 4);
+  for (const Coord cs : {Coord{1}, Coord{4}, Coord{16}}) {
     const Coord span = 10 * cs;
     std::mt19937 rng(static_cast<unsigned>(cs));
     std::uniform_int_distribution<Coord> pos(-span, span);

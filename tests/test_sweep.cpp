@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 namespace bb::geom {
 namespace {
@@ -141,6 +142,91 @@ TEST(SweepCoverage, QueryIsReusableAcrossCalls) {
     EXPECT_FALSE(q.gap(region, {region}).has_value());
     EXPECT_TRUE(q.gap(region, {Rect{0, 0, 5, 10}}).has_value());
   }
+}
+
+TEST(CoverageQuery, CoversMatchesGapOnSmallSets) {
+  // The sets DRC's coverage probes hand over: a region and 0-4 rects
+  // near it. `covers` decides most of them by arithmetic (one clip equal
+  // to the region, clip areas summing short of it, two clips' union
+  // area) and the rest by the sweep; every exit must agree with the gap
+  // sweep and with the brute union area of the clips, for both
+  // overloads.
+  sweep::CoverageQuery q;
+  int covered = 0, uncovered = 0;
+  const auto check = [&](const Rect& region, const std::vector<Rect>& rs) {
+    std::vector<Rect> clips;
+    for (const Rect& r : rs) {
+      if (auto c = r.intersectWith(region)) clips.push_back(*c);
+    }
+    const bool want = unionAreaBrute(clips) == region.area();
+    const RectIndex idx(rs);
+    std::string what = toString(region);
+    for (const Rect& r : rs) {
+      what += ' ';
+      what += toString(r);
+    }
+    EXPECT_EQ(q.covers(region, rs), want) << what;
+    EXPECT_EQ(q.covers(region, rs), !q.gap(region, rs).has_value()) << what;
+    EXPECT_EQ(q.covers(region, idx), want) << what;
+    EXPECT_EQ(q.covers(region, idx), !q.gap(region, idx).has_value()) << what;
+    ++(want ? covered : uncovered);
+  };
+
+  const Rect region{0, 0, 20, 10};
+  check(region, {});
+  check(region, {{0, 0, 8, 10}, {8, 0, 20, 10}});            // tiling split on x
+  check(region, {{0, 0, 20, 4}, {0, 4, 20, 10}});            // tiling split on y
+  check(region, {{-5, -5, 12, 15}, {8, -1, 25, 11}});        // overlapping pair covers
+  check(region, {{0, 0, 12, 10}, {8, 1, 20, 10}});           // overlapping pair, sliver left
+  check(region, {{0, 0, 8, 10}, {9, 0, 20, 10}});            // abutting short of a sliver
+  check(region, {{0, 0, 12, 10}, {0, 0, 12, 10}});           // duplicates
+  check(region, {region, region});                           // duplicates of the region
+  check(region, {{20, 0, 30, 10}, {0, 10, 20, 15}, {-5, -5, 0, 0}});  // edge-only touches
+  check(region, {{0, 0, 20, 5}, {0, 10, 20, 15}});           // one partial, one edge-only
+  check(region, {{0, 0, 7, 10}, {7, 0, 14, 10}, {14, 0, 20, 10}});    // three tiles
+  check(region, {{0, 0, 20, 4}, {0, 6, 20, 10}, {0, 3, 9, 7}, {11, 3, 20, 7}});  // a hole
+
+  // Seeded regions. Even rounds split the region in two on x or on y,
+  // each piece's edges nudged by up to two units either way (mostly
+  // outward), so exact tilings, overlaps and slivers all come up, and
+  // add 0-2 more rects; odd rounds take 0-4 rects whose edges snap to
+  // the region's edges and thirds, or just beyond them. Every seventh
+  // round repeats a rect.
+  std::mt19937 rng(2024);
+  std::uniform_int_distribution<Coord> pos(-20, 20), side(1, 12), pick(0, 6), nudge(0, 5);
+  std::uniform_int_distribution<int> count(0, 4), extra(0, 2);
+  const Coord out[] = {-2, -1, 0, 0, 0, 1};  // mostly outward of a lower edge
+  for (int t = 0; t < 400; ++t) {
+    const Coord x = pos(rng), y = pos(rng);
+    const Rect r{x, y, x + side(rng), y + side(rng)};
+    const auto lo = [&](Coord v) { return v + out[nudge(rng)]; };
+    const auto hi = [&](Coord v) { return v - out[nudge(rng)]; };
+    const auto snap = [&](Coord a, Coord b) {
+      const Coord at[] = {a - 3, a, a + (b - a) / 3, a + (b - a) / 2, b - 1, b, b + 2};
+      return at[pick(rng)];
+    };
+    std::vector<Rect> rs;
+    int more = count(rng);
+    if (t % 2 == 0) {
+      if (t % 4 == 0) {
+        const Coord sx = r.x0 + side(rng) % (r.width() + 1);
+        rs.emplace_back(lo(r.x0), lo(r.y0), hi(sx), hi(r.y1));
+        rs.emplace_back(lo(sx), lo(r.y0), hi(r.x1), hi(r.y1));
+      } else {
+        const Coord sy = r.y0 + side(rng) % (r.height() + 1);
+        rs.emplace_back(lo(r.x0), lo(r.y0), hi(r.x1), hi(sy));
+        rs.emplace_back(lo(r.x0), lo(sy), hi(r.x1), hi(r.y1));
+      }
+      more = extra(rng);
+    }
+    for (; more > 0; --more) {
+      rs.emplace_back(snap(r.x0, r.x1), snap(r.y0, r.y1), snap(r.x0, r.x1), snap(r.y0, r.y1));
+    }
+    if (t % 7 == 0 && !rs.empty()) rs.push_back(rs.front());
+    check(r, rs);
+  }
+  EXPECT_GT(covered, 40);
+  EXPECT_GT(uncovered, 40);
 }
 
 TEST(SubtractRects, IndexedMatchesBruteBitForBit) {
