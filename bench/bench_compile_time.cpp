@@ -16,8 +16,12 @@
 /// `compile_all_reps_{small4,large16x8}` (compile plus every registered
 /// format, all 11 emitters; the spice deck is among them, which rows
 /// recorded before the registry became the only emission surface did not
-/// include). Env knob: BB_BENCH_SMOKE=1 runs fewer iterations and skips
-/// the google-benchmark timings. Exits nonzero when no row lands.
+/// include), and `compile_stage_{pass1,pass2,pass3}_{large16x8,large64x16}`
+/// (one pass alone, timed by the pipeline's own `core::TimingObserver`
+/// over the compile-only runs' chip count; items are chips, so
+/// items_per_sec is chips/s through that pass). Env knob:
+/// BB_BENCH_SMOKE=1 runs fewer iterations and skips the google-benchmark
+/// timings. Exits nonzero when no row lands.
 
 #include "bench_util.hpp"
 
@@ -37,6 +41,23 @@ double compileOnlySeconds(const icl::ChipDesc& desc, int iters) {
     auto chip = bench::compile(desc);
     benchmark::DoNotOptimize(chip->stats.shapeCount);
   });
+}
+
+/// Per-stage times summed over `iters` compiles, through the pipeline's
+/// own observer hook.
+core::TimingObserver stageTimes(const icl::ChipDesc& desc, int iters) {
+  core::TimingObserver timing;
+  for (int i = 0; i < iters; ++i) {
+    core::CompileSession session(desc);
+    session.addObserver(&timing);
+    auto result = session.run();
+    if (!result) {
+      std::fprintf(stderr, "bench compile failed:\n%s\n",
+                   result.diagnostics().toString().c_str());
+      std::abort();
+    }
+  }
+  return timing;
 }
 
 /// Emit every registered format; the total size, so the work is kept.
@@ -90,6 +111,36 @@ void printTable(bool smoke) {
     recordChips(c.row, iters * 5, t);
     std::printf("%-24s %12.1f\n", c.label, 1.0 / t);
   }
+
+  // Which of the paper's three passes the time goes to.
+  std::printf("\nper-stage breakdown (ms per chip, via PassObserver):\n");
+  std::printf("%-24s", "chip");
+  for (const core::Stage s : core::kAllStages) {
+    std::printf(" %9s", std::string(core::stageName(s)).c_str());
+  }
+  std::printf("\n");
+  const struct {
+    const char* suffix;
+    const char* label;
+    icl::ChipDesc desc;
+  } staged[] = {
+      {"large16x8", "large (16-bit, 8 regs)", core::samples::largeChip(16, 8)},
+      {"large64x16", "sweep max (64-bit, 16)", core::samples::largeChip(64, 16)},
+  };
+  const int chips = iters * 5;
+  for (const auto& c : staged) {
+    const core::TimingObserver timing = stageTimes(c.desc, chips);
+    std::printf("%-24s", c.label);
+    for (const core::Stage s : core::kAllStages) {
+      const double perChip = std::chrono::duration<double>(timing.elapsed(s)).count() / chips;
+      std::printf(" %9.4f", perChip * 1e3);
+      if (s == core::Stage::Pass1 || s == core::Stage::Pass2 || s == core::Stage::Pass3) {
+        recordChips("compile_stage_" + std::string(core::stageName(s)) + "_" + c.suffix, chips,
+                    perChip);
+      }
+    }
+    std::printf("\n");
+  }
   if (smoke) {
     std::printf("\n");
     return;
@@ -102,23 +153,6 @@ void printTable(bool smoke) {
       const double t = fullCompileSeconds(core::samples::largeChip(width, regs), 3);
       std::printf("%8d %8d %12.4f\n", width, regs, t);
     }
-  }
-
-  // Per-stage breakdown through the pipeline's own observer hook —
-  // which of the paper's three passes the minutes actually go to.
-  std::printf("\nper-stage breakdown (large chip, via PassObserver):\n");
-  core::TimingObserver timing;
-  core::CompileSession session(core::samples::largeChip(16, 8));
-  session.addObserver(&timing);
-  auto result = session.run();
-  if (!result) {
-    std::fprintf(stderr, "bench compile failed:\n%s\n",
-                 result.diagnostics().toString().c_str());
-    std::abort();
-  }
-  for (const core::Stage s : core::kAllStages) {
-    std::printf("%10s %10.3f ms\n", std::string(core::stageName(s)).c_str(),
-                static_cast<double>(timing.elapsed(s).count()) / 1e6);
   }
   std::printf("\n");
 }

@@ -86,8 +86,7 @@ std::size_t CompiledChip::approxBytes() const noexcept {
   bytes += placed.size() * sizeof(PlacedElement);
   bytes += controls.size() * sizeof(elements::ControlLine);
   bytes += pads.size() * sizeof(PadPlacement);
-  bytes += logic.gates().size() * sizeof(netlist::Gate);
-  bytes += logic.signalCount() * 32;  // names + bus flags, order of magnitude
+  bytes += logic.approxBytes();
   return bytes + stats.shapeCount * kDerivedBytesPerShape;
 }
 

@@ -96,7 +96,7 @@ struct CompiledChip {
 
   /// Deterministic estimate of the chip's resident size in bytes: cells,
   /// shapes with polygon/path vertices, bristles, instances, placed
-  /// elements, pads, logic gates — PLUS `kDerivedBytesPerShape` per
+  /// elements, pads, logic model — PLUS `kDerivedBytesPerShape` per
   /// flattened primitive (`stats.shapeCount`) for the derived artifacts
   /// below, whether built or not. The flattens replicate every instance's
   /// geometry, so they dwarf the shared cell library; charging them up

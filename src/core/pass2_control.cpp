@@ -253,38 +253,41 @@ bool runPass2(CompiledChip& chip, const Pass2Options& opts, icl::DiagnosticList&
   auto& lm = chip.logic;
   std::vector<int> mcTrue, mcComp;
   for (int b = 0; b < chip.desc.microcode.width; ++b) {
-    const int t = lm.signal("mc" + std::to_string(b));
-    const int c = lm.signal("mcb" + std::to_string(b));
+    const int t = lm.signal("mc", b);
+    const int c = lm.signal("mcb", b);
     lm.add(netlist::GateKind::Inv, {t}, c, "decoder input inverter");
     mcTrue.push_back(t);
     mcComp.push_back(c);
   }
   std::vector<int> termSig;
+  std::vector<int> pins;
   for (std::size_t t = 0; t < chip.pla.termCount(); ++t) {
     const icl::Cube& cube = chip.pla.terms()[t];
-    std::vector<int> lits;
+    pins.clear();
     for (std::size_t b = 0; b < cube.bits.size(); ++b) {
-      if (cube.bits[b] == 1) lits.push_back(mcTrue[b]);
-      else if (cube.bits[b] == 0) lits.push_back(mcComp[b]);
+      if (cube.bits[b] == 1) pins.push_back(mcTrue[b]);
+      else if (cube.bits[b] == 0) pins.push_back(mcComp[b]);
     }
-    const int s = lm.signal("term" + std::to_string(t));
-    if (lits.empty()) {
+    const int s = lm.signal("term", static_cast<int>(t));
+    if (pins.empty()) {
       lm.add(netlist::GateKind::Const1, {}, s, "tautology term");
     } else {
-      lm.add(netlist::GateKind::And, std::move(lits), s, "AND-plane term");
+      lm.add(netlist::GateKind::And, pins, s, "AND-plane term");
     }
     termSig.push_back(s);
   }
+  std::string decName;
   for (std::size_t o = 0; o < chip.controls.size(); ++o) {
-    const int dec_o = lm.signal("dec." + chip.controls[o].name);
-    std::vector<int> ins;
-    for (int t : chip.pla.outputs()[o]) ins.push_back(termSig[static_cast<std::size_t>(t)]);
-    if (ins.empty()) {
+    decName.assign("dec.").append(chip.controls[o].name);
+    const int dec_o = lm.signal(decName);
+    pins.clear();
+    for (int t : chip.pla.outputs()[o]) pins.push_back(termSig[static_cast<std::size_t>(t)]);
+    if (pins.empty()) {
       lm.add(netlist::GateKind::Const0, {}, dec_o, "never-active control");
     } else {
-      lm.add(netlist::GateKind::Or, std::move(ins), dec_o, "OR-plane output");
+      lm.add(netlist::GateKind::Or, pins, dec_o, "OR-plane output");
     }
-    elements::emitBufferLogic(lm, chip.controls[o], "dec." + chip.controls[o].name);
+    elements::emitBufferLogic(lm, chip.controls[o], decName);
   }
 
   chip.stats.decoderArea =

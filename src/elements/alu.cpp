@@ -98,72 +98,80 @@ class AluElement final : public Element {
 
   void emitLogic(netlist::LogicModel& lm, const ElementContext& ctx) const override {
     using netlist::GateKind;
-    const int lda = lm.signal(name() + ".lda");
-    const int ldb = lm.signal(name() + ".ldb");
-    const int dr = lm.signal(name() + ".dr");
+    const std::string& n = name();
+    const int lda = lm.signal(n + ".lda");
+    const int ldb = lm.signal(n + ".ldb");
+    const int dr = lm.signal(n + ".dr");
     const int phi2 = lm.signal("phi2");
     std::vector<int> opSig;
     opSig.reserve(ops_.size());
-    for (const std::string& op : ops_) opSig.push_back(lm.signal(name() + ".op_" + op));
+    for (const std::string& op : ops_) opSig.push_back(lm.signal(n + ".op_" + op));
 
     // Carry chain (c0 = 0 for add, 1 for sub via b inversion).
-    int carry = lm.signal(name() + ".c0");
+    const std::string cStem = n + ".c";
+    int carry = lm.signal(cStem, 0);
     const int subIdx = opIndex("sub");
     if (subIdx >= 0) {
-      lm.add(GateKind::Buf, {opSig[static_cast<std::size_t>(subIdx)]}, carry,
-             name() + ".carryin");
+      lm.add(GateKind::Buf, {opSig[static_cast<std::size_t>(subIdx)]}, carry, n + ".carryin");
     } else {
       lm.add(GateKind::Const0, {}, carry);
     }
 
+    const std::string aStem = n + ".a", brawStem = n + ".braw", bStem = n + ".b";
+    const std::string pStem = n + ".p", gStem = n + ".g", sumStem = n + ".sum";
+    const std::string rStem = n + ".r", rlStem = n + ".rl", rbStem = n + ".rb";
+    const std::string pcHint = n + ".pc", fHint = n + ".f", andHint = n + ".and",
+                      orHint = n + ".or", xorHint = n + ".xor";
+    const std::string opA = n + ".opA", opB = n + ".opB", result = n + ".result",
+                      drive = n + ".drive";
+    std::vector<int> terms;
     for (int i = 0; i < ctx.dataWidth; ++i) {
-      const std::string bi = std::to_string(i);
-      const int inA = lm.signal(busSignal(ctx, busA_, i));
-      const int inB = lm.signal(busSignal(ctx, busB_, i));
-      const int out = lm.signal(busSignal(ctx, busOut_, i));
+      const int inA = lm.signal(ctx.busPrefix[busA_], i);
+      const int inB = lm.signal(ctx.busPrefix[busB_], i);
+      const int out = lm.signal(ctx.busPrefix[busOut_], i);
       lm.markBus(inA);
       lm.markBus(inB);
       lm.markBus(out);
-      const int a = lm.signal(name() + ".a" + bi);
-      const int braw = lm.signal(name() + ".braw" + bi);
-      const int b = lm.signal(name() + ".b" + bi);
-      lm.add(GateKind::Latch, {inA, lda}, a, name() + ".opA");
-      lm.add(GateKind::Latch, {inB, ldb}, braw, name() + ".opB");
+      const int a = lm.signal(aStem, i);
+      const int braw = lm.signal(brawStem, i);
+      const int b = lm.signal(bStem, i);
+      lm.add(GateKind::Latch, {inA, lda}, a, opA);
+      lm.add(GateKind::Latch, {inB, ldb}, braw, opB);
       // Subtraction inverts B into the adder (b XOR sub).
       if (subIdx >= 0) {
         lm.add(GateKind::Xor, {braw, opSig[static_cast<std::size_t>(subIdx)]}, b);
       } else {
         lm.add(GateKind::Buf, {braw}, b);
       }
-      const int p = lm.signal(name() + ".p" + bi);
-      const int g = lm.signal(name() + ".g" + bi);
+      const int p = lm.signal(pStem, i);
+      const int g = lm.signal(gStem, i);
       lm.add(GateKind::Xor, {a, b}, p);
       lm.add(GateKind::And, {a, b}, g);
-      const int sum = lm.signal(name() + ".sum" + bi);
+      const int sum = lm.signal(sumStem, i);
       lm.add(GateKind::Xor, {p, carry}, sum);
-      const int cnext = lm.signal(name() + ".c" + std::to_string(i + 1));
-      const int pc = lm.internalSignal(name() + ".pc");
+      const int cnext = lm.signal(cStem, i + 1);
+      const int pc = lm.internalSignal(pcHint);
       lm.add(GateKind::And, {p, carry}, pc);
       lm.add(GateKind::Or, {g, pc}, cnext);
       carry = cnext;
 
       // Result mux over the enabled operations.
-      std::vector<int> terms;
+      terms.clear();
       for (std::size_t k = 0; k < ops_.size(); ++k) {
-        const int f = lm.internalSignal(name() + ".f");
+        const int f = lm.internalSignal(fHint);
         const std::string& op = ops_[k];
         if (op == "add" || op == "sub") {
           lm.add(GateKind::And, {opSig[k], sum}, f);
         } else if (op == "and") {
-          const int t = lm.internalSignal(name() + ".and");
+          const int t = lm.internalSignal(andHint);
           lm.add(GateKind::And, {a, braw}, t);
           lm.add(GateKind::And, {opSig[k], t}, f);
         } else if (op == "or") {
-          const int t = lm.internalSignal(name() + ".or");
+          const int t = lm.internalSignal(orHint);
           lm.add(GateKind::Or, {a, braw}, t);
           lm.add(GateKind::And, {opSig[k], t}, f);
         } else if (op == "xor") {
-          const int t = lm.internalSignal(name() + ".xor");
+          const int t = lm.internalSignal(xorHint);
           lm.add(GateKind::Xor, {a, braw}, t);
           lm.add(GateKind::And, {opSig[k], t}, f);
         } else if (op == "passa") {
@@ -173,17 +181,17 @@ class AluElement final : public Element {
         }
         terms.push_back(f);
       }
-      const int r = lm.signal(name() + ".r" + bi);
-      lm.add(GateKind::Or, std::move(terms), r);
+      const int r = lm.signal(rStem, i);
+      lm.add(GateKind::Or, terms, r);
       // Result register: transparent during phi2, holds through phi1.
-      const int rl = lm.signal(name() + ".rl" + bi);
-      const int rb = lm.signal(name() + ".rb" + bi);
-      lm.add(GateKind::Latch, {r, phi2}, rl, name() + ".result");
+      const int rl = lm.signal(rlStem, i);
+      const int rb = lm.signal(rbStem, i);
+      lm.add(GateKind::Latch, {r, phi2}, rl, result);
       lm.add(GateKind::Inv, {rl}, rb);
-      lm.add(GateKind::PullDown, {dr, rb}, out, name() + ".drive");
+      lm.add(GateKind::PullDown, {dr, rb}, out, drive);
     }
     // Expose the final carry for probes / flags.
-    lm.add(GateKind::Buf, {carry}, lm.signal(name() + ".cout"));
+    lm.add(GateKind::Buf, {carry}, lm.signal(n + ".cout"));
   }
 
   [[nodiscard]] std::string describe(const ElementContext& ctx) const override {

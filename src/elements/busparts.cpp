@@ -36,7 +36,7 @@ void emitPrechargeLogic(netlist::LogicModel& lm, const std::string& ctlName,
                         const std::string& busPrefix, int dataWidth) {
   const int pre = lm.signal(ctlName);
   for (int i = 0; i < dataWidth; ++i) {
-    const int bus = lm.signal(busPrefix + std::to_string(i));
+    const int bus = lm.signal(busPrefix, i);
     lm.markBus(bus);
     lm.add(netlist::GateKind::Precharge, {pre}, bus, ctlName);
   }

@@ -52,11 +52,12 @@ class ConstantElement final : public Element {
 
   void emitLogic(netlist::LogicModel& lm, const ElementContext& ctx) const override {
     const int dr = lm.signal(name() + ".dr");
+    const std::string zero = name() + ".zero";
     for (int i = 0; i < ctx.dataWidth; ++i) {
       if (((value_ >> i) & 1) != 0) continue;
-      const int out = lm.signal(busSignal(ctx, bus_, i));
+      const int out = lm.signal(ctx.busPrefix[bus_], i);
       lm.markBus(out);
-      lm.add(netlist::GateKind::PullDown, {dr}, out, name() + ".zero");
+      lm.add(netlist::GateKind::PullDown, {dr}, out, zero);
     }
   }
 

@@ -54,7 +54,7 @@ BufferRow buildBufferRow(cell::CellLibrary& lib, const std::string& name,
 }
 
 void emitBufferLogic(netlist::LogicModel& lm, const ControlLine& cl,
-                     const std::string& decodeSignal) {
+                     std::string_view decodeSignal) {
   const int dec = lm.signal(decodeSignal);
   const int phi = lm.signal(cl.phase == 1 ? "phi1" : "phi2");
   const int out = lm.signal(cl.name);

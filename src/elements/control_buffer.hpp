@@ -21,6 +21,6 @@ struct BufferRow {
 
 /// Logic: ctl = decodeSignal AND phi<phase>.
 void emitBufferLogic(netlist::LogicModel& lm, const ControlLine& cl,
-                     const std::string& decodeSignal);
+                     std::string_view decodeSignal);
 
 }  // namespace bb::elements

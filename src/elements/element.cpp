@@ -126,10 +126,6 @@ long long intParam(const icl::ElementDecl& decl, std::string_view param, long lo
   return v->asInt();
 }
 
-std::string busSignal(const ElementContext& ctx, int busIndex, int bit) {
-  return ctx.busPrefix[busIndex] + std::to_string(bit);
-}
-
 namespace {
 geom::Coord lineAt(const cell::Cell& c, std::string_view name) {
   for (const cell::StretchLine& sl : c.stretchLines()) {

@@ -45,10 +45,6 @@ namespace bb::elements {
                                  long long dflt, long long lo, long long hi,
                                  icl::DiagnosticList& diags);
 
-/// Canonical bus signal name for logic models: the segment prefix from
-/// the context plus the bit index (e.g. "busA3").
-[[nodiscard]] std::string busSignal(const ElementContext& ctx, int busIndex, int bit);
-
 /// Stretch a freshly generated slice (built at its natural pitch) to the
 /// common pitch and widen its supply rails per the context — the paper's
 /// "each cell is stretched (a painless operation) to fit all other

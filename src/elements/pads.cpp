@@ -79,17 +79,23 @@ void emitPadLogic(netlist::LogicModel& lm, PadKind k, const std::string& padName
                   const std::string& net) {
   const std::string ext = "pad." + padName;
   switch (k) {
-    case PadKind::In:
+    case PadKind::In: {
       // External value in, inverted onto the requesting lane (ports expect
       // the inverted polarity; see ports.cpp).
-      lm.add(netlist::GateKind::Inv, {lm.signal(ext)}, lm.signal(net), padName);
+      const int lane = lm.signal(net);
+      lm.add(netlist::GateKind::Inv, {lm.signal(ext)}, lane, padName);
       break;
-    case PadKind::Out:
-      lm.add(netlist::GateKind::Inv, {lm.signal(net)}, lm.signal(ext), padName);
+    }
+    case PadKind::Out: {
+      const int pad = lm.signal(ext);
+      lm.add(netlist::GateKind::Inv, {lm.signal(net)}, pad, padName);
       break;
-    case PadKind::Bidir:
-      lm.add(netlist::GateKind::Buf, {lm.signal(net)}, lm.signal(ext), padName);
+    }
+    case PadKind::Bidir: {
+      const int pad = lm.signal(ext);
+      lm.add(netlist::GateKind::Buf, {lm.signal(net)}, pad, padName);
       break;
+    }
     case PadKind::Clock:
       // Clocks are primary inputs driven by the testbench directly.
       break;

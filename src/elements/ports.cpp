@@ -65,11 +65,12 @@ class InPortElement final : public Element {
 
   void emitLogic(netlist::LogicModel& lm, const ElementContext& ctx) const override {
     const int dr = lm.signal(name() + ".dr");
+    const std::string padbarStem = name() + ".padbar", drive = name() + ".drive";
     for (int i = 0; i < ctx.dataWidth; ++i) {
-      const int out = lm.signal(busSignal(ctx, bus_, i));
+      const int out = lm.signal(ctx.busPrefix[bus_], i);
       lm.markBus(out);
-      const int padbar = lm.signal(name() + ".padbar" + std::to_string(i));
-      lm.add(netlist::GateKind::PullDown, {dr, padbar}, out, name() + ".drive");
+      const int padbar = lm.signal(padbarStem, i);
+      lm.add(netlist::GateKind::PullDown, {dr, padbar}, out, drive);
     }
   }
 
@@ -131,12 +132,14 @@ class OutPortElement final : public Element {
 
   void emitLogic(netlist::LogicModel& lm, const ElementContext& ctx) const override {
     const int smp = lm.signal(name() + ".smp");
+    const std::string sStem = name() + ".s", sbStem = name() + ".sb";
+    const std::string sample = name() + ".sample";
     for (int i = 0; i < ctx.dataWidth; ++i) {
-      const int in = lm.signal(busSignal(ctx, bus_, i));
+      const int in = lm.signal(ctx.busPrefix[bus_], i);
       lm.markBus(in);
-      const int s = lm.signal(name() + ".s" + std::to_string(i));
-      const int sb = lm.signal(name() + ".sb" + std::to_string(i));
-      lm.add(netlist::GateKind::Latch, {in, smp}, s, name() + ".sample");
+      const int s = lm.signal(sStem, i);
+      const int sb = lm.signal(sbStem, i);
+      lm.add(netlist::GateKind::Latch, {in, smp}, s, sample);
       lm.add(netlist::GateKind::Inv, {s}, sb);
     }
   }
@@ -205,7 +208,7 @@ class ProbeElement final : public Element {
 
   void emitLogic(netlist::LogicModel& lm, const ElementContext& ctx) const override {
     const int smp = lm.signal(name() + ".smp");
-    const int in = lm.signal(busSignal(ctx, bus_, bit_));
+    const int in = lm.signal(ctx.busPrefix[bus_], bit_);
     lm.markBus(in);
     const int s = lm.signal(name() + ".s");
     const int sb = lm.signal(name() + ".sb");

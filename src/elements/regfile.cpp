@@ -74,18 +74,20 @@ class RegfileElement final : public Element {
       const int ld = lm.signal(rn + ".ld");
       const int ph2 = lm.signal(rn + ".ph2");
       const int dr = lm.signal(rn + ".dr");
+      const std::string mStem = rn + ".m", mbStem = rn + ".mb", sStem = rn + ".s";
+      const std::string master = rn + ".master", slave = rn + ".slave", drive = rn + ".drive";
       for (int i = 0; i < ctx.dataWidth; ++i) {
-        const int in = lm.signal(busSignal(ctx, busIn_, i));
-        const int out = lm.signal(busSignal(ctx, busOut_, i));
+        const int in = lm.signal(ctx.busPrefix[busIn_], i);
+        const int out = lm.signal(ctx.busPrefix[busOut_], i);
         lm.markBus(in);
         lm.markBus(out);
-        const int m = lm.signal(rn + ".m" + std::to_string(i));
-        const int mb = lm.signal(rn + ".mb" + std::to_string(i));
-        const int s = lm.signal(rn + ".s" + std::to_string(i));
-        lm.add(netlist::GateKind::Latch, {in, ld}, m, rn + ".master");
+        const int m = lm.signal(mStem, i);
+        const int mb = lm.signal(mbStem, i);
+        const int s = lm.signal(sStem, i);
+        lm.add(netlist::GateKind::Latch, {in, ld}, m, master);
         lm.add(netlist::GateKind::Inv, {m}, mb);
-        lm.add(netlist::GateKind::Latch, {mb, ph2}, s, rn + ".slave");
-        lm.add(netlist::GateKind::PullDown, {dr, s}, out, rn + ".drive");
+        lm.add(netlist::GateKind::Latch, {mb, ph2}, s, slave);
+        lm.add(netlist::GateKind::PullDown, {dr, s}, out, drive);
       }
     }
   }

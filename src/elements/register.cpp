@@ -63,21 +63,24 @@ class RegisterElement final : public Element {
   }
 
   void emitLogic(netlist::LogicModel& lm, const ElementContext& ctx) const override {
-    const int ld = lm.signal(name() + ".ld");
-    const int ph2 = lm.signal(name() + ".ph2");
-    const int dr = lm.signal(name() + ".dr");
+    const std::string& n = name();
+    const int ld = lm.signal(n + ".ld");
+    const int ph2 = lm.signal(n + ".ph2");
+    const int dr = lm.signal(n + ".dr");
+    const std::string mStem = n + ".m", mbStem = n + ".mb", sStem = n + ".s";
+    const std::string master = n + ".master", slave = n + ".slave", drive = n + ".drive";
     for (int i = 0; i < ctx.dataWidth; ++i) {
-      const int in = lm.signal(busSignal(ctx, busIn_, i));
-      const int out = lm.signal(busSignal(ctx, busOut_, i));
+      const int in = lm.signal(ctx.busPrefix[busIn_], i);
+      const int out = lm.signal(ctx.busPrefix[busOut_], i);
       lm.markBus(in);
       lm.markBus(out);
-      const int m = lm.signal(name() + ".m" + std::to_string(i));
-      const int mb = lm.signal(name() + ".mb" + std::to_string(i));
-      const int s = lm.signal(name() + ".s" + std::to_string(i));
-      lm.add(netlist::GateKind::Latch, {in, ld}, m, name() + ".master");
+      const int m = lm.signal(mStem, i);
+      const int mb = lm.signal(mbStem, i);
+      const int s = lm.signal(sStem, i);
+      lm.add(netlist::GateKind::Latch, {in, ld}, m, master);
       lm.add(netlist::GateKind::Inv, {m}, mb);
-      lm.add(netlist::GateKind::Latch, {mb, ph2}, s, name() + ".slave");
-      lm.add(netlist::GateKind::PullDown, {dr, s}, out, name() + ".drive");
+      lm.add(netlist::GateKind::Latch, {mb, ph2}, s, slave);
+      lm.add(netlist::GateKind::PullDown, {dr, s}, out, drive);
     }
   }
 

@@ -60,27 +60,29 @@ class ShifterElement final : public Element {
 
   void emitLogic(netlist::LogicModel& lm, const ElementContext& ctx) const override {
     using netlist::GateKind;
-    const int ld = lm.signal(name() + ".ld");
-    const int dr = lm.signal(name() + ".dr");
+    const std::string& n = name();
+    const int ld = lm.signal(n + ".ld");
+    const int dr = lm.signal(n + ".dr");
+    const std::string vStem = n + ".v", vbStem = n + ".vb";
+    const std::string hold = n + ".hold", drive = n + ".drive", fill0 = n + ".fill0";
     std::vector<int> vb(static_cast<std::size_t>(ctx.dataWidth));
     for (int i = 0; i < ctx.dataWidth; ++i) {
-      const int in = lm.signal(busSignal(ctx, busIn_, i));
+      const int in = lm.signal(ctx.busPrefix[busIn_], i);
       lm.markBus(in);
-      const int v = lm.signal(name() + ".v" + std::to_string(i));
-      lm.add(GateKind::Latch, {in, ld}, v, name() + ".hold");
-      vb[static_cast<std::size_t>(i)] = lm.signal(name() + ".vb" + std::to_string(i));
+      const int v = lm.signal(vStem, i);
+      lm.add(GateKind::Latch, {in, ld}, v, hold);
+      vb[static_cast<std::size_t>(i)] = lm.signal(vbStem, i);
       lm.add(GateKind::Inv, {v}, vb[static_cast<std::size_t>(i)]);
     }
     for (int j = 0; j < ctx.dataWidth; ++j) {
-      const int out = lm.signal(busSignal(ctx, busOut_, j));
+      const int out = lm.signal(ctx.busPrefix[busOut_], j);
       lm.markBus(out);
       const int src = left_ ? j - dist_ : j + dist_;
       if (src >= 0 && src < ctx.dataWidth) {
-        lm.add(GateKind::PullDown, {dr, vb[static_cast<std::size_t>(src)]}, out,
-               name() + ".drive");
+        lm.add(GateKind::PullDown, {dr, vb[static_cast<std::size_t>(src)]}, out, drive);
       } else {
         // Vacated bit: drive a zero.
-        lm.add(GateKind::PullDown, {dr}, out, name() + ".fill0");
+        lm.add(GateKind::PullDown, {dr}, out, fill0);
       }
     }
   }

@@ -2,6 +2,11 @@
 
 #include "geom/text_buffer.hpp"
 
+#include <charconv>
+#include <functional>
+#include <limits>
+#include <stdexcept>
+
 namespace bb::netlist {
 
 Level levelFromBool(bool b) noexcept { return b ? Level::L1 : Level::L0; }
@@ -27,58 +32,126 @@ std::string_view gateName(GateKind k) noexcept {
   return "?";
 }
 
-}  // namespace
+constexpr std::size_t kMinSlots = 64;
+constexpr std::size_t kMaxOffset = std::numeric_limits<std::uint32_t>::max();
 
-int LogicModel::signal(const std::string& name) {
-  const auto [it, fresh] = byName_.try_emplace(name, static_cast<int>(names_.size()));
-  if (fresh) {
-    names_.push_back(name);
-    isBus_.push_back(false);
-  }
-  return it->second;
+std::uint32_t hashOf(std::string_view name) noexcept {
+  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
 }
 
-int LogicModel::internalSignal(const std::string& hint) {
-  std::string name = (hint.empty() ? "w" : hint) + "$" + std::to_string(anon_++);
-  while (byName_.contains(name)) name += "'";
-  return signal(name);
+void appendDecimal(std::string& out, int n) {
+  char digits[16];
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, n).ptr);
+}
+
+}  // namespace
+
+std::size_t LogicModel::probe(std::string_view name, std::uint32_t hash) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& s = slots_[i];
+    if (s.id < 0 || (s.hash == hash && signalName(s.id) == name)) return i;
+  }
+}
+
+LogicModel::NameRef LogicModel::append(std::string_view text) {
+  if (text.size() > kMaxOffset - chars_.size()) {
+    throw std::length_error("LogicModel: names past 4 GiB");
+  }
+  const NameRef ref{static_cast<std::uint32_t>(chars_.size()),
+                    static_cast<std::uint32_t>(text.size())};
+  chars_.append(text);  // safe when `text` views `chars_` itself
+  return ref;
+}
+
+int LogicModel::insert(std::size_t at, std::string_view name, std::uint32_t hash) {
+  const int id = static_cast<int>(names_.size());
+  names_.push_back(append(name));
+  isBus_.push_back(false);
+  slots_[at] = Slot{id, hash};
+  if (names_.size() * 2 > slots_.size()) {
+    // Keep the table at most half full: double it and re-place every id
+    // by its stored hash.
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.id < 0) continue;
+      std::size_t i = s.hash & mask;
+      while (slots_[i].id >= 0) i = (i + 1) & mask;
+      slots_[i] = s;
+    }
+  }
+  return id;
+}
+
+int LogicModel::signal(std::string_view name) {
+  if (slots_.empty()) slots_.resize(kMinSlots);
+  const std::uint32_t h = hashOf(name);
+  const std::size_t at = probe(name, h);
+  return slots_[at].id >= 0 ? slots_[at].id : insert(at, name, h);
+}
+
+int LogicModel::signal(std::string_view stem, int index) {
+  scratch_.assign(stem);
+  appendDecimal(scratch_, index);
+  return signal(scratch_);
+}
+
+int LogicModel::internalSignal(std::string_view hint) {
+  scratch_.assign(hint.empty() ? std::string_view("w") : hint);
+  scratch_ += '$';
+  appendDecimal(scratch_, anon_++);
+  if (slots_.empty()) slots_.resize(kMinSlots);
+  for (;;) {
+    const std::uint32_t h = hashOf(scratch_);
+    const std::size_t at = probe(scratch_, h);
+    if (slots_[at].id < 0) return insert(at, scratch_, h);
+    scratch_ += '\'';
+  }
 }
 
 void LogicModel::markBus(int sig) { isBus_[static_cast<std::size_t>(sig)] = true; }
 
-void LogicModel::add(GateKind kind, std::vector<int> in, int out, std::string name) {
-  gates_.push_back(Gate{kind, std::move(in), out, std::move(name)});
+void LogicModel::add(GateKind kind, std::span<const int> in, int out, std::string_view name) {
+  const std::less<const int*> before;
+  if (!in.empty() && !before(in.data(), pins_.data()) &&
+      before(in.data(), pins_.data() + pins_.size())) {
+    // `in` views this model's own pins, which growing them would free.
+    const std::vector<int> copy(in.begin(), in.end());
+    add(kind, copy, out, name);
+    return;
+  }
+  if (in.size() > kMaxOffset - pins_.size()) {
+    throw std::length_error("LogicModel: gate inputs past 2^32");
+  }
+  Gate g{kind, out, static_cast<std::uint32_t>(pins_.size()),
+         static_cast<std::uint32_t>(in.size()), 0, 0};
+  if (!name.empty()) {
+    const NameRef ref = append(name);
+    g.nameOffset = ref.offset;
+    g.nameLength = ref.length;
+  }
+  pins_.insert(pins_.end(), in.begin(), in.end());
+  gates_.push_back(g);
 }
 
-int LogicModel::findSignal(const std::string& name) const noexcept {
-  auto it = byName_.find(name);
-  return it == byName_.end() ? -1 : it->second;
-}
-
-void LogicModel::merge(const LogicModel& other) {
-  std::vector<int> remap(other.names_.size());
-  for (std::size_t i = 0; i < other.names_.size(); ++i) {
-    remap[i] = signal(other.names_[i]);
-    if (other.isBus_[i]) markBus(remap[i]);
-  }
-  for (const Gate& g : other.gates_) {
-    Gate ng = g;
-    for (int& s : ng.in) s = remap[static_cast<std::size_t>(s)];
-    ng.out = remap[static_cast<std::size_t>(g.out)];
-    gates_.push_back(std::move(ng));
-  }
+int LogicModel::findSignal(std::string_view name) const noexcept {
+  return slots_.empty() ? -1 : slots_[probe(name, hashOf(name))].id;
 }
 
 std::string LogicModel::toText() const {
   geom::TextBuffer os;
   os << "logic diagram: " << gates_.size() << " gates, " << names_.size() << " signals\n";
   for (const Gate& g : gates_) {
-    os << "  " << gateName(g.kind) << ' ' << names_[static_cast<std::size_t>(g.out)] << " <- ";
-    for (std::size_t i = 0; i < g.in.size(); ++i) {
-      if (i) os << ", ";
-      os << names_[static_cast<std::size_t>(g.in[i])];
+    os << "  " << gateName(g.kind) << ' ' << signalName(g.out) << " <- ";
+    bool first = true;
+    for (const int s : inputs(g)) {
+      if (!first) os << ", ";
+      first = false;
+      os << signalName(s);
     }
-    if (!g.name.empty()) os << "    (" << g.name << ')';
+    if (g.nameLength != 0) os << "    (" << nameOf(g) << ')';
     os << "\n";
   }
   return os.take();
@@ -88,6 +161,12 @@ std::map<std::string, std::size_t> LogicModel::histogram() const {
   std::map<std::string, std::size_t> h;
   for (const Gate& g : gates_) ++h[std::string(gateName(g.kind))];
   return h;
+}
+
+std::size_t LogicModel::approxBytes() const noexcept {
+  return chars_.capacity() + scratch_.capacity() + names_.capacity() * sizeof(NameRef) +
+         isBus_.capacity() / 8 + slots_.capacity() * sizeof(Slot) +
+         pins_.capacity() * sizeof(int) + gates_.capacity() * sizeof(Gate);
 }
 
 }  // namespace bb::netlist

@@ -1,6 +1,6 @@
 #include "sim/simulator.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace bb::sim {
 
@@ -12,19 +12,26 @@ Simulator::Simulator(const netlist::LogicModel& model)
       values_(model.signalCount(), Level::LX),
       forced_(model.signalCount(), false) {}
 
+std::size_t Simulator::checked(int sig) const {
+  if (sig < 0 || static_cast<std::size_t>(sig) >= values_.size()) {
+    throw std::out_of_range("sim::Simulator: no signal with id " + std::to_string(sig));
+  }
+  return static_cast<std::size_t>(sig);
+}
+
 void Simulator::set(int sig, Level v) {
-  assert(sig >= 0 && sig < static_cast<int>(values_.size()));
-  values_[static_cast<std::size_t>(sig)] = v;
-  forced_[static_cast<std::size_t>(sig)] = true;
+  const std::size_t s = checked(sig);
+  values_[s] = v;
+  forced_[s] = true;
 }
 
 void Simulator::set(const std::string& name, Level v) {
   const int sig = model_.findSignal(name);
-  assert(sig >= 0 && "unknown signal");
+  if (sig < 0) throw std::out_of_range("sim::Simulator: no signal named '" + name + "'");
   set(sig, v);
 }
 
-void Simulator::release(int sig) { forced_[static_cast<std::size_t>(sig)] = false; }
+void Simulator::release(int sig) { forced_[checked(sig)] = false; }
 
 Level Simulator::get(const std::string& name) const noexcept {
   const int sig = model_.findSignal(name);
@@ -35,7 +42,8 @@ Level Simulator::get(const std::string& name) const noexcept {
 void Simulator::evalGate(const Gate& g, std::vector<Level>& next, std::vector<bool>& busPulledLow,
                          std::vector<bool>& busDrivenHigh,
                          std::vector<bool>& busPrecharged) const {
-  auto in = [&](std::size_t i) { return values_[static_cast<std::size_t>(g.in[i])]; };
+  const std::span<const int> pins = model_.inputs(g);
+  auto in = [&](std::size_t i) { return values_[static_cast<std::size_t>(pins[i])]; };
   const std::size_t out = static_cast<std::size_t>(g.out);
   switch (g.kind) {
     case GateKind::Inv:
@@ -46,31 +54,31 @@ void Simulator::evalGate(const Gate& g, std::vector<Level>& next, std::vector<bo
       break;
     case GateKind::Nand: {
       Level v = Level::L1;
-      for (std::size_t i = 0; i < g.in.size(); ++i) v = simAnd(v, in(i));
+      for (std::size_t i = 0; i < pins.size(); ++i) v = simAnd(v, in(i));
       next[out] = simNot(v);
       break;
     }
     case GateKind::Nor: {
       Level v = Level::L0;
-      for (std::size_t i = 0; i < g.in.size(); ++i) v = simOr(v, in(i));
+      for (std::size_t i = 0; i < pins.size(); ++i) v = simOr(v, in(i));
       next[out] = simNot(v);
       break;
     }
     case GateKind::And: {
       Level v = Level::L1;
-      for (std::size_t i = 0; i < g.in.size(); ++i) v = simAnd(v, in(i));
+      for (std::size_t i = 0; i < pins.size(); ++i) v = simAnd(v, in(i));
       next[out] = v;
       break;
     }
     case GateKind::Or: {
       Level v = Level::L0;
-      for (std::size_t i = 0; i < g.in.size(); ++i) v = simOr(v, in(i));
+      for (std::size_t i = 0; i < pins.size(); ++i) v = simOr(v, in(i));
       next[out] = v;
       break;
     }
     case GateKind::Xor: {
       Level v = Level::L0;
-      for (std::size_t i = 0; i < g.in.size(); ++i) v = simXor(v, in(i));
+      for (std::size_t i = 0; i < pins.size(); ++i) v = simXor(v, in(i));
       next[out] = v;
       break;
     }
@@ -91,7 +99,7 @@ void Simulator::evalGate(const Gate& g, std::vector<Level>& next, std::vector<bo
     }
     case GateKind::PullDown: {
       Level v = Level::L1;
-      for (std::size_t i = 0; i < g.in.size(); ++i) v = simAnd(v, in(i));
+      for (std::size_t i = 0; i < pins.size(); ++i) v = simAnd(v, in(i));
       if (isHigh(v)) busPulledLow[out] = true;
       break;
     }

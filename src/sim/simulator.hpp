@@ -25,12 +25,14 @@ class Simulator {
  public:
   explicit Simulator(const netlist::LogicModel& model);
 
-  /// Force an input signal to a level (stays until changed).
+  /// Force an input signal to a level (stays until changed). An id or
+  /// name the model does not have throws `std::out_of_range`.
   void set(int sig, Level v);
   void set(const std::string& name, Level v);
   void setBool(const std::string& name, bool v) { set(name, netlist::levelFromBool(v)); }
 
-  /// Release a forced signal (reverts to model-driven).
+  /// Release a forced signal (reverts to model-driven); an id the model
+  /// does not have throws `std::out_of_range`.
   void release(int sig);
 
   [[nodiscard]] Level get(int sig) const noexcept {
@@ -53,6 +55,7 @@ class Simulator {
   [[nodiscard]] const netlist::LogicModel& model() const noexcept { return model_; }
 
  private:
+  [[nodiscard]] std::size_t checked(int sig) const;
   void evalGate(const netlist::Gate& g, std::vector<Level>& next,
                 std::vector<bool>& busPulledLow, std::vector<bool>& busDrivenHigh,
                 std::vector<bool>& busPrecharged) const;

@@ -124,7 +124,7 @@ TEST_P(ElementsW, ShifterCrossBitLogic) {
     for (const netlist::Gate& g : lm.gates()) {
       if (g.kind != netlist::GateKind::PullDown) continue;
       if (lm.signalName(g.out) != "busB" + std::to_string(j)) continue;
-      for (int in : g.in) {
+      for (int in : lm.inputs(g)) {
         found |= lm.signalName(in) == "S.vb" + std::to_string(j - 2);
       }
     }

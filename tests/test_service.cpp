@@ -891,14 +891,16 @@ TEST(CompiledChip, ConcurrentFirstAccessBuildsEachArtifactOnce) {
 }
 
 TEST(CompiledChip, ConcurrentFirstEmitsLintAndDrcMatchASerialRun) {
-  // Five consumers start at once on a freshly compiled chip whose
+  // Seven consumers start at once on a freshly compiled chip whose
   // artifacts and layer indexes are all unbuilt: spice and lint extract
   // flatCore(); a tiled sticks-svg walks its tiles over the pool, querying
   // flatCore()'s layer indexes, while a whole-artwork sticks-svg reads
-  // the same layers in place; DRC checks flatTop(). Lint and DRC fan out
-  // over the pool at full width. Each output must equal a serial run's
-  // on a second compile. Under TSan this is the race check on the lazily
-  // built layer indexes: nothing prepares the chip first.
+  // the same layers in place; logic and simulation read the chip's one
+  // logic model; DRC checks flatTop(). Lint and DRC fan out over the
+  // pool at full width. Each output must equal a serial run's on a second
+  // compile. Under TSan this is the race check on the lazily built layer
+  // indexes, and on the logic model's read path (which must touch no
+  // scratch state): nothing prepares the chip first.
   const icl::ChipDesc desc = core::samples::largeChip(16, 8);
   auto serialChip = core::compileChip(desc);
   ASSERT_TRUE(serialChip) << serialChip.diagnostics().toString();
@@ -913,13 +915,15 @@ TEST(CompiledChip, ConcurrentFirstEmitsLintAndDrcMatchASerialRun) {
   drcOpts.threads = 0;
   const drc::DeckChecker checker(tech::meadConwayRules(), drcOpts);
   const reps::EmitterRegistry& reg = reps::EmitterRegistry::global();
-  constexpr std::size_t kJobs = 5;
+  constexpr std::size_t kJobs = 7;
   const auto job = [&](const core::CompiledChip& chip, std::size_t k) -> std::string {
     switch (k) {
       case 0: return reg.find("spice")->emitToString(chip);
       case 1: return reg.find("sticks-svg")->emitToString(chip, tiled);
       case 2: return lint::lintChip(chip, lintOpts).toJson();
       case 3: return reg.find("sticks-svg")->emitToString(chip);
+      case 4: return reg.find("logic")->emitToString(chip);
+      case 5: return reg.find("simulation")->emitToString(chip);
       default: {
         const drc::DrcReport rep = checker.check(chip.flatTop(), chip.top->boundary());
         std::string out = std::to_string(rep.violations.size()) + " violations\n";
