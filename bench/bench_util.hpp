@@ -9,8 +9,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -18,6 +20,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace bb::bench {
@@ -30,11 +33,12 @@ namespace bb::bench {
 ///
 /// Row shape: {"name": ..., "n": ..., "ns_per_op": ..., "items_per_sec": ...,
 /// "timestamp": ISO-8601 UTC write time, "commit": the BB_BENCH_COMMIT
-/// environment value (CI sets it to the commit SHA; omitted when unset)}
-/// where items are whatever the bench processes (chips, rects, ...).
-/// The trajectory file thus records *when* and *at which commit* each
-/// row was measured; rows from older writers lack the two fields, which
-/// the checker accepts.
+/// environment value (CI sets it to the commit SHA; omitted when unset),
+/// "host": {"logical_cpus", "effective_parallelism", "build_type",
+/// "compiler"}} where items are whatever the bench processes (chips,
+/// rects, ...). The trajectory file thus records *when*, *at which
+/// commit* and *on what host* each row was measured; rows from older
+/// writers lack the three fields, which the checker accepts.
 class BenchJson {
  public:
   static BenchJson& instance() {
@@ -101,6 +105,7 @@ class BenchJson {
       }
       const std::string stamp = isoTimestampUtc();
       const std::string commit = commitFromEnv();
+      const std::string& host = hostJson();
       for (const Row& r : rows_) {
         if (!first) out << ",\n";
         first = false;
@@ -111,7 +116,7 @@ class BenchJson {
                       r.name.c_str(), r.n, r.nsPerOp, r.itemsPerSec, stamp.c_str());
         out << buf;
         if (!commit.empty()) out << ", \"commit\": \"" << commit << '"';
-        out << '}';
+        out << ", \"host\": " << host << '}';
       }
       out << "\n]\n";
       if (!out.good()) {
@@ -172,6 +177,77 @@ class BenchJson {
       const bool ok = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
                       (c >= 'A' && c <= 'Z') || c == '_' || c == '.' || c == '-';
       if (ok) out.push_back(c);
+    }
+    return out;
+  }
+
+  /// The host every row of this process ran on, as a JSON object:
+  /// logical CPUs; effective parallelism, N * t1 / tN for the same spin
+  /// on one thread and on all N logical CPUs at once (best of three, N on
+  /// an idle host, less when neighbours share it); the build type; and
+  /// the compiler. Calibrated once per process, on the first write.
+  static const std::string& hostJson() {
+    static const std::string json = [] {
+      const auto spin = [] {
+        volatile std::uint64_t x = 0;
+        for (std::uint64_t i = 0; i < 20'000'000; ++i) x = x + i;
+      };
+      const auto msOf = [](auto&& fn) {
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
+            .count();
+      };
+      const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
+      double t1 = 1e300, tn = 1e300;
+      for (int rep = 0; rep < 3; ++rep) {
+        t1 = std::min(t1, msOf(spin));
+        tn = std::min(tn, msOf([&] {
+                        std::vector<std::thread> ts;
+                        for (unsigned i = 0; i < cpus; ++i) ts.emplace_back(spin);
+                        for (std::thread& t : ts) t.join();
+                      }));
+      }
+      const double effective = tn > 0 ? cpus * t1 / tn : 0;
+      char buf[512];
+      std::snprintf(buf, sizeof(buf),
+                    "{\"logical_cpus\": %u, \"effective_parallelism\": %.3f, "
+                    "\"build_type\": \"%s\", \"compiler\": \"%s\"}",
+                    cpus, std::isfinite(effective) ? effective : 0.0,
+                    jsonSafe(buildType()).c_str(), jsonSafe(compilerVersion()).c_str());
+      return std::string(buf);
+    }();
+    return json;
+  }
+
+  static std::string buildType() {
+#ifdef BB_BENCH_BUILD_TYPE
+    const std::string t = BB_BENCH_BUILD_TYPE;
+    return t.empty() ? "unknown" : t;
+#else
+    return "unknown";
+#endif
+  }
+
+  static std::string compilerVersion() {
+#if defined(__clang__)
+    return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+    return std::string("gcc ") + __VERSION__;
+#elif defined(_MSC_VER)
+    return "msvc " + std::to_string(_MSC_VER);
+#else
+    return "unknown";
+#endif
+  }
+
+  /// `s` with the characters a JSON string cannot hold verbatim (quote,
+  /// backslash, control characters) dropped, capped at 128 bytes.
+  static std::string jsonSafe(const std::string& s) {
+    std::string out;
+    for (const char c : s) {
+      if (out.size() == 128) break;
+      if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
     }
     return out;
   }

@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     const std::string file = "afternoon_" + std::string(name) + "." +
                              std::string(e->fileExtension());
     std::ofstream out(outDir + "/" + file, std::ios::binary);
-    e->emit(*chip, out, {});
+    emitters.emit(*chip, name, out);
     std::printf("  %-10s -> %s/%s  (%s)\n", std::string(name).c_str(), outDir.c_str(),
                 file.c_str(), std::string(e->description()).c_str());
   }

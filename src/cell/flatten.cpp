@@ -50,27 +50,41 @@ std::size_t FlatLayout::approxBytes() const noexcept {
   return b;
 }
 
-void flattenInto(FlatLayout& out, const Cell& c, const geom::Transform& t) {
+namespace {
+
+/// `flattenInto`'s walk: appends to the layer vectors directly, after the
+/// caller has dropped their indexes once.
+void appendFlat(FlatLayout& out, const Cell& c, const geom::Transform& t) {
   for (const Shape& s : c.shapes()) {
+    std::vector<geom::Rect>& layer = out.rects[static_cast<std::size_t>(s.layer)];
     std::visit(
         [&](const auto& g) {
           using T = std::decay_t<decltype(g)>;
           if constexpr (std::is_same_v<T, geom::Rect>) {
-            out.on(s.layer).push_back(t(g));
+            layer.push_back(t(g));
           } else if constexpr (std::is_same_v<T, geom::Polygon>) {
             out.polygons.emplace_back(s.layer, t(g));
           } else {
             // Transform the path, then decompose: D4 transforms keep
             // segments axis-parallel so the decomposition stays exact.
             const geom::Path tp = t(g);
-            for (const geom::Rect& r : tp.toRects()) out.on(s.layer).push_back(r);
+            for (const geom::Rect& r : tp.toRects()) layer.push_back(r);
           }
         },
         s.geo);
   }
   for (const Instance& i : c.instances()) {
-    flattenInto(out, *i.cell, t * i.placement);
+    appendFlat(out, *i.cell, t * i.placement);
   }
+}
+
+}  // namespace
+
+void flattenInto(FlatLayout& out, const Cell& c, const geom::Transform& t) {
+  // Every layer may grow, so each index goes once here (the non-const
+  // `on()` drops it), not once per appended rect.
+  for (const tech::Layer l : tech::kAllLayers) (void)out.on(l);
+  appendFlat(out, c, t);
 }
 
 FlatLayout flatten(const Cell& c, const geom::Transform& t) {

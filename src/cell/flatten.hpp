@@ -63,7 +63,8 @@ struct FlatLayout {
 [[nodiscard]] FlatLayout flatten(const Cell& c, const geom::Transform& t = {});
 
 /// Flatten into an existing FlatLayout (used when assembling a chip from
-/// several placed cells).
+/// several placed cells). Drops `out`'s layer indexes once per call, so
+/// `indexOn` afterwards sees the appended rects.
 void flattenInto(FlatLayout& out, const Cell& c, const geom::Transform& t = {});
 
 /// The number of primitives `flatten(c)` would hold, i.e.

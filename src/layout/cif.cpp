@@ -38,14 +38,31 @@ std::string_view cifOrient(Orientation o) {
   return "";
 }
 
+/// A box, call or symbol line is under 32 bytes on the sample chips; a
+/// writer sizes its buffer from its record count times this.
+constexpr std::size_t kBytesPerRecord = 32;
+
+void putBox(geom::Record& rec, const geom::Rect& r) {
+  rec << "B " << r.width() << ' ' << r.height() << ' ' << r.center().x << ' ' << r.center().y
+      << ";\n";
+}
+
+void putPolygon(geom::Record& rec, const geom::Polygon& p) {
+  rec << 'P';
+  for (geom::Point q : p.pts) rec << ' ' << q.x << ' ' << q.y;
+  rec << ";\n";
+}
+
 }  // namespace
 
-std::string writeCif(const Cell& top, const CifOptions& opts) {
+void writeCif(geom::TextBuffer& os, const Cell& top, const CifOptions& opts) {
   std::vector<const Cell*> order;
   std::map<const Cell*, int> ids;
   collect(top, order, ids);
+  std::size_t records = 0;
+  for (const Cell* c : order) records += c->shapes().size() + c->instances().size() + 4;
+  os.reserve(records * kBytesPerRecord);
 
-  geom::TextBuffer os;
   if (opts.comments) {
     os << "( Bristle Blocks silicon compiler -- CIF 2.0 mask set );\n";
     os << "( top cell: " << top.name() << " );\n";
@@ -64,46 +81,50 @@ std::string writeCif(const Cell& top, const CifOptions& opts) {
       };
       for (const cell::Shape& s : c->shapes()) {
         if (s.layer != l) continue;
+        needLayer();
+        geom::Record rec(os);
         std::visit(
             [&](const auto& g) {
               using T = std::decay_t<decltype(g)>;
               if constexpr (std::is_same_v<T, geom::Rect>) {
-                needLayer();
                 // B length width xcenter ycenter — CIF centers may be
                 // half-integral in layout units; double the coordinate
                 // system would be needed. Our generators keep all rects
                 // even-sized on the quarter-lambda grid, so centers are
                 // exact.
-                os << "B " << g.width() << ' ' << g.height() << ' ' << g.center().x << ' '
-                   << g.center().y << ";\n";
+                putBox(rec, g);
               } else if constexpr (std::is_same_v<T, geom::Polygon>) {
-                needLayer();
-                os << "P";
-                for (geom::Point p : g.pts) os << ' ' << p.x << ' ' << p.y;
-                os << ";\n";
+                putPolygon(rec, g);
               } else {
-                needLayer();
-                os << "W " << g.width;
-                for (geom::Point p : g.pts) os << ' ' << p.x << ' ' << p.y;
-                os << ";\n";
+                rec << "W " << g.width;
+                for (geom::Point p : g.pts) rec << ' ' << p.x << ' ' << p.y;
+                rec << ";\n";
               }
             },
             s.geo);
+        rec.flush();
       }
     }
     for (const cell::Instance& i : c->instances()) {
-      os << "C " << ids[i.cell] << cifOrient(i.placement.orient) << " T "
-         << i.placement.offset.x << ' ' << i.placement.offset.y << ";\n";
+      geom::Record rec(os);
+      rec << "C " << ids[i.cell] << cifOrient(i.placement.orient) << " T "
+          << i.placement.offset.x << ' ' << i.placement.offset.y << ";\n";
+      rec.flush();
     }
     os << "DF;\n";
   }
   os << "C " << ids[&top] << ";\n";
   os << "E\n";
-  return os.take();
 }
 
-std::string writeCif(const View& v, const CifOptions& opts) {
-  geom::TextBuffer os;
+std::string writeCif(const Cell& top, const CifOptions& opts) {
+  geom::TextBuffer out;
+  writeCif(out, top, opts);
+  return out.take();
+}
+
+void writeCif(geom::TextBuffer& os, const View& v, const CifOptions& opts) {
+  os.reserve(v.shapeCountHint() * kBytesPerRecord + 256);
   if (opts.comments) {
     os << "( Bristle Blocks silicon compiler -- CIF 2.0 mask set );\n";
     os << "( flat artwork, window " << geom::toString(v.window()) << " );\n";
@@ -122,24 +143,30 @@ std::string writeCif(const View& v, const CifOptions& opts) {
                                  const std::vector<geom::Rect>& rs) {
       for (const geom::Rect& r : rs) {
         needLayer();
-        os << "B " << r.width() << ' ' << r.height() << ' ' << r.center().x << ' '
-           << r.center().y << ";\n";
+        geom::Record rec(os);
+        putBox(rec, r);
+        rec.flush();
       }
       // This tile's window-clipped polygon pieces, each emitted from
       // exactly one owner tile.
       for (const auto& [pl, p] : v.windowPolygonsOwnedBy(tx, ty)) {
         if (pl != l) continue;
         needLayer();
-        os << "P";
-        for (geom::Point q : p->pts) os << ' ' << q.x << ' ' << q.y;
-        os << ";\n";
+        geom::Record rec(os);
+        putPolygon(rec, *p);
+        rec.flush();
       }
     });
   }
   os << "DF;\n";
   os << "C 1;\n";
   os << "E\n";
-  return os.take();
+}
+
+std::string writeCif(const View& v, const CifOptions& opts) {
+  geom::TextBuffer out;
+  writeCif(out, v, opts);
+  return out.take();
 }
 
 CifStats cifStats(const std::string& cif) {

@@ -8,6 +8,7 @@
 
 #include "cell/cell.hpp"
 #include "cell/library.hpp"
+#include "geom/text_buffer.hpp"
 #include "layout/view.hpp"
 
 #include <string>
@@ -32,7 +33,9 @@ struct CifOptions {
 /// with unique-cell geometry plus instance count, not the flattened rect
 /// count (the GDS counterpart is `writeGdsHier`). Area-identical to the
 /// flat emission of the same cell (the round-trip tests parse it back
-/// and compare per-layer union areas).
+/// and compare per-layer union areas). Appends to `out`, sized first from
+/// the unique cells' shape and instance counts.
+void writeCif(geom::TextBuffer& out, const cell::Cell& top, const CifOptions& opts = {});
 [[nodiscard]] std::string writeCif(const cell::Cell& top, const CifOptions& opts = {});
 
 /// Write a View's artwork as one CIF symbol (DS 1), geometry streamed
@@ -46,6 +49,8 @@ struct CifOptions {
 /// merging the boxes are the disjoint maximal pieces instead (note
 /// merged/clipped boxes can have odd extents, whose CIF centers round
 /// down — the same quarter-lambda caveat as the hierarchical writer).
+/// Appends to `out`, sized first from `View::shapeCountHint`.
+void writeCif(geom::TextBuffer& out, const View& v, const CifOptions& opts = {});
 [[nodiscard]] std::string writeCif(const View& v, const CifOptions& opts = {});
 
 /// Statistics of a written mask set (for reports and tests).

@@ -1,11 +1,11 @@
 #include "layout/gds.hpp"
 
 #include "geom/poly.hpp"
+#include "geom/text_buffer.hpp"
 
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <initializer_list>
 #include <map>
 #include <string_view>
 #include <utility>
@@ -49,45 +49,65 @@ enum : std::uint8_t {
   kDtAscii = 0x06,
 };
 
-/// Appends big-endian GDSII records straight into one byte vector.
+/// Appends big-endian GDSII records to a `TextBuffer` through one stack
+/// stage. A fixed-length record is formatted whole on the stack and
+/// staged in one append; `finish()` hands the stage to the buffer.
 class Emitter {
  public:
-  void i16(std::uint8_t type, std::initializer_list<std::int16_t> vals) {
-    header(type, kDtI16, 2 * vals.size());
-    for (std::int16_t v : vals) put16(v);
+  explicit Emitter(geom::TextBuffer& out) noexcept : rec_(out) {}
+
+  template <std::size_t N>
+  void i16(std::uint8_t type, const std::int16_t (&vals)[N]) {
+    char rec[4 + 2 * N];
+    char* p = header(rec, type, kDtI16, 2 * N);
+    for (const std::int16_t v : vals) p = put16(p, v);
+    rec_ << std::string_view(rec, sizeof rec);
   }
 
-  void i32(std::uint8_t type, std::initializer_list<std::int32_t> vals) {
-    header(type, kDtI32, 4 * vals.size());
-    for (std::int32_t v : vals) put32(v);
+  template <std::size_t N>
+  void i32(std::uint8_t type, const std::int32_t (&vals)[N]) {
+    char rec[4 + 4 * N];
+    char* p = header(rec, type, kDtI32, 4 * N);
+    for (const std::int32_t v : vals) p = put32(p, v);
+    rec_ << std::string_view(rec, sizeof rec);
   }
 
   /// XY record of a point sequence; `closeRing` repeats the first point,
   /// as a GDS boundary requires.
   void xy(const std::vector<geom::Point>& pts, bool closeRing) {
-    header(kXy, kDtI32, 8 * (pts.size() + (closeRing ? 1 : 0)));
+    char h[4];
+    header(h, kXy, kDtI32, 8 * (pts.size() + (closeRing ? 1 : 0)));
+    rec_ << std::string_view(h, sizeof h);
     for (geom::Point q : pts) putPoint(q);
     if (closeRing) putPoint(pts.front());
   }
 
-  void f64(std::uint8_t type, std::initializer_list<double> vals) {
-    header(type, kDtF64, 8 * vals.size());
-    for (double v : vals) {
-      const auto r = real8(v);
-      bytes_.insert(bytes_.end(), r.begin(), r.end());
+  template <std::size_t N>
+  void f64(std::uint8_t type, const double (&vals)[N]) {
+    char rec[4 + 8 * N];
+    char* p = header(rec, type, kDtF64, 8 * N);
+    for (const double v : vals) {
+      for (const std::uint8_t b : real8(v)) *p++ = static_cast<char>(b);
     }
+    rec_ << std::string_view(rec, sizeof rec);
   }
 
   void ascii(std::uint8_t type, std::string_view s) {
     const bool pad = s.size() % 2 != 0;  // records are even-length
-    header(type, kDtAscii, s.size() + (pad ? 1 : 0));
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
-    if (pad) bytes_.push_back(0);
+    char h[4];
+    header(h, type, kDtAscii, s.size() + (pad ? 1 : 0));
+    rec_ << std::string_view(h, sizeof h) << s;
+    if (pad) rec_ << '\0';
   }
 
-  void none(std::uint8_t type) { header(type, kDtNone, 0); }
+  void none(std::uint8_t type) {
+    char h[4];
+    header(h, type, kDtNone, 0);
+    rec_ << std::string_view(h, sizeof h);
+  }
 
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
+  /// Hand the staged bytes to the buffer; the last call of every writer.
+  void finish() { rec_.flush(); }
 
   /// GDSII excess-64 8-byte real.
   static std::array<std::uint8_t, 8> real8(double v) {
@@ -115,40 +135,82 @@ class Emitter {
 
  private:
   /// Record length (header included, truncated to the 16-bit field),
-  /// type and data type; the caller appends exactly `payloadBytes`.
-  void header(std::uint8_t type, std::uint8_t dtype, std::size_t payloadBytes) {
+  /// type and data type at `p`; the caller appends exactly
+  /// `payloadBytes`. Returns the end.
+  static char* header(char* p, std::uint8_t type, std::uint8_t dtype, std::size_t payloadBytes) {
     const std::size_t len = payloadBytes + 4;
-    const std::uint8_t h[4] = {static_cast<std::uint8_t>(len >> 8),
-                               static_cast<std::uint8_t>(len & 0xff), type, dtype};
-    bytes_.insert(bytes_.end(), h, h + 4);
+    p[0] = static_cast<char>(len >> 8);
+    p[1] = static_cast<char>(len & 0xff);
+    p[2] = static_cast<char>(type);
+    p[3] = static_cast<char>(dtype);
+    return p + 4;
   }
 
-  void put16(std::int16_t v) {
-    const std::uint8_t b[2] = {static_cast<std::uint8_t>((v >> 8) & 0xff),
-                               static_cast<std::uint8_t>(v & 0xff)};
-    bytes_.insert(bytes_.end(), b, b + 2);
+  static char* put16(char* p, std::int16_t v) {
+    p[0] = static_cast<char>((v >> 8) & 0xff);
+    p[1] = static_cast<char>(v & 0xff);
+    return p + 2;
   }
 
-  void put32(std::int32_t v) {
-    const std::uint8_t b[4] = {
-        static_cast<std::uint8_t>((v >> 24) & 0xff), static_cast<std::uint8_t>((v >> 16) & 0xff),
-        static_cast<std::uint8_t>((v >> 8) & 0xff), static_cast<std::uint8_t>(v & 0xff)};
-    bytes_.insert(bytes_.end(), b, b + 4);
+  static char* put32(char* p, std::int32_t v) {
+    p[0] = static_cast<char>((v >> 24) & 0xff);
+    p[1] = static_cast<char>((v >> 16) & 0xff);
+    p[2] = static_cast<char>((v >> 8) & 0xff);
+    p[3] = static_cast<char>(v & 0xff);
+    return p + 4;
   }
 
   void putPoint(geom::Point q) {
-    put32(static_cast<std::int32_t>(q.x));
-    put32(static_cast<std::int32_t>(q.y));
+    char b[8];
+    put32(put32(b, static_cast<std::int32_t>(q.x)), static_cast<std::int32_t>(q.y));
+    rec_ << std::string_view(b, sizeof b);
   }
 
-  std::vector<std::uint8_t> bytes_;
+  geom::Record rec_;
 };
+
+/// One rect's BOUNDARY element is exactly this many bytes; an SREF with
+/// its name and orientation is about as long. Writers size their buffer
+/// from their element count times this.
+constexpr std::size_t kBytesPerElement = 64;
+
+/// The library header every writer opens with.
+void beginLib(Emitter& e, const GdsOptions& opts) {
+  e.i16(kHeader, {600});
+  // BGNLIB: creation + modification timestamps (12 i16). Fixed epoch so
+  // output is deterministic and diffable.
+  e.i16(kBgnLib, {1979, 6, 25, 0, 0, 0, 1979, 6, 25, 0, 0, 0});
+  e.ascii(kLibName, opts.libName);
+  e.f64(kUnits, {1.0 / opts.dbPerUser, opts.unitMeters / opts.dbPerUser});
+}
+
+void beginStr(Emitter& e, std::string_view name) {
+  e.i16(kBgnStr, {1979, 6, 25, 0, 0, 0, 1979, 6, 25, 0, 0, 0});
+  e.ascii(kStrName, name);
+}
+
+/// A byte vector of what `write` appends, for the vector-returning forms.
+template <class Write>
+std::vector<std::uint8_t> bytesOf(Write&& write) {
+  geom::TextBuffer out;
+  write(out);
+  const std::string_view s = out.view();
+  return {s.begin(), s.end()};
+}
 
 void collect(const Cell& c, std::vector<const Cell*>& order, std::map<const Cell*, bool>& seen) {
   if (seen.contains(&c)) return;
   seen[&c] = true;
   for (const cell::Instance& i : c.instances()) collect(*i.cell, order, seen);
   order.push_back(&c);
+}
+
+/// Size `out` for the hierarchical writers: every unique cell's shapes
+/// and instances, plus each structure's header and trailer.
+void reserveFor(geom::TextBuffer& out, const std::vector<const Cell*>& order) {
+  std::size_t elements = 4;
+  for (const Cell* c : order) elements += c->shapes().size() + c->instances().size() + 2;
+  out.reserve(elements * kBytesPerElement);
 }
 
 /// One rect as a BOUNDARY element: its closed five-point ring.
@@ -320,22 +382,16 @@ GridFit fitGrid(const std::vector<geom::Point>& offs) {
 
 }  // namespace
 
-std::vector<std::uint8_t> writeGds(const Cell& top, const GdsOptions& opts) {
+void writeGds(geom::TextBuffer& out, const Cell& top, const GdsOptions& opts) {
   std::vector<const Cell*> order;
   std::map<const Cell*, bool> seen;
   collect(top, order, seen);
+  reserveFor(out, order);
 
-  Emitter e;
-  e.i16(kHeader, {600});
-  // BGNLIB: creation + modification timestamps (12 i16). Fixed epoch so
-  // output is deterministic and diffable.
-  e.i16(kBgnLib, {1979, 6, 25, 0, 0, 0, 1979, 6, 25, 0, 0, 0});
-  e.ascii(kLibName, opts.libName);
-  e.f64(kUnits, {1.0 / opts.dbPerUser, opts.unitMeters / opts.dbPerUser});
-
+  Emitter e(out);
+  beginLib(e, opts);
   for (const Cell* c : order) {
-    e.i16(kBgnStr, {1979, 6, 25, 0, 0, 0, 1979, 6, 25, 0, 0, 0});
-    e.ascii(kStrName, c->name());
+    beginStr(e, c->name());
     emitShapes(e, *c);
     for (const cell::Instance& i : c->instances()) {
       emitSref(e, *i.cell, i.placement.orient, i.placement.offset);
@@ -343,23 +399,23 @@ std::vector<std::uint8_t> writeGds(const Cell& top, const GdsOptions& opts) {
     e.none(kEndStr);
   }
   e.none(kEndLib);
-  return e.take();
+  e.finish();
 }
 
-std::vector<std::uint8_t> writeGdsHier(const Cell& top, const GdsOptions& opts) {
+std::vector<std::uint8_t> writeGds(const Cell& top, const GdsOptions& opts) {
+  return bytesOf([&](geom::TextBuffer& out) { writeGds(out, top, opts); });
+}
+
+void writeGdsHier(geom::TextBuffer& out, const Cell& top, const GdsOptions& opts) {
   std::vector<const Cell*> order;
   std::map<const Cell*, bool> seen;
   collect(top, order, seen);
+  reserveFor(out, order);
 
-  Emitter e;
-  e.i16(kHeader, {600});
-  e.i16(kBgnLib, {1979, 6, 25, 0, 0, 0, 1979, 6, 25, 0, 0, 0});
-  e.ascii(kLibName, opts.libName);
-  e.f64(kUnits, {1.0 / opts.dbPerUser, opts.unitMeters / opts.dbPerUser});
-
+  Emitter e(out);
+  beginLib(e, opts);
   for (const Cell* c : order) {
-    e.i16(kBgnStr, {1979, 6, 25, 0, 0, 0, 1979, 6, 25, 0, 0, 0});
-    e.ascii(kStrName, c->name());
+    beginStr(e, c->name());
     emitShapes(e, *c);
     // Group instances by (child, orientation), first-appearance order;
     // a group forming a full uniform grid compresses to one AREF.
@@ -399,18 +455,18 @@ std::vector<std::uint8_t> writeGdsHier(const Cell& top, const GdsOptions& opts) 
     e.none(kEndStr);
   }
   e.none(kEndLib);
-  return e.take();
+  e.finish();
 }
 
-std::vector<std::uint8_t> writeGds(const View& v, const GdsOptions& opts) {
-  Emitter e;
-  e.i16(kHeader, {600});
-  e.i16(kBgnLib, {1979, 6, 25, 0, 0, 0, 1979, 6, 25, 0, 0, 0});
-  e.ascii(kLibName, opts.libName);
-  e.f64(kUnits, {1.0 / opts.dbPerUser, opts.unitMeters / opts.dbPerUser});
+std::vector<std::uint8_t> writeGdsHier(const Cell& top, const GdsOptions& opts) {
+  return bytesOf([&](geom::TextBuffer& out) { writeGdsHier(out, top, opts); });
+}
 
-  e.i16(kBgnStr, {1979, 6, 25, 0, 0, 0, 1979, 6, 25, 0, 0, 0});
-  e.ascii(kStrName, opts.flatStructName);
+void writeGds(geom::TextBuffer& out, const View& v, const GdsOptions& opts) {
+  out.reserve((v.shapeCountHint() + 4) * kBytesPerElement);
+  Emitter e(out);
+  beginLib(e, opts);
+  beginStr(e, opts.flatStructName);
   for (tech::Layer l : tech::kAllLayers) {
     const auto layer = static_cast<std::int16_t>(tech::gdsNumber(l));
     v.forEachTileParallel(l, [&](std::size_t tx, std::size_t ty,
@@ -426,7 +482,11 @@ std::vector<std::uint8_t> writeGds(const View& v, const GdsOptions& opts) {
   }
   e.none(kEndStr);
   e.none(kEndLib);
-  return e.take();
+  e.finish();
+}
+
+std::vector<std::uint8_t> writeGds(const View& v, const GdsOptions& opts) {
+  return bytesOf([&](geom::TextBuffer& out) { writeGds(out, v, opts); });
 }
 
 GdsStats gdsStats(const std::vector<std::uint8_t>& bytes) {

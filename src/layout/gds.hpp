@@ -10,6 +10,7 @@
 #pragma once
 
 #include "cell/cell.hpp"
+#include "geom/text_buffer.hpp"
 #include "layout/view.hpp"
 
 #include <cstdint>
@@ -29,7 +30,10 @@ struct GdsOptions {
   std::string flatStructName = "FLAT";
 };
 
-/// Serialize `top` and its hierarchy to a GDSII byte stream.
+/// Serialize `top` and its hierarchy to a GDSII byte stream. Each writer
+/// appends its bytes to `out`, sized first from its element count; the
+/// vector-returning forms wrap it.
+void writeGds(geom::TextBuffer& out, const cell::Cell& top, const GdsOptions& opts = {});
 [[nodiscard]] std::vector<std::uint8_t> writeGds(const cell::Cell& top,
                                                  const GdsOptions& opts = {});
 
@@ -42,6 +46,7 @@ struct GdsOptions {
 /// unique-cell geometry plus O(1) per array. Groups that don't form a
 /// grid fall back to individual SREFs; the placed instance set (and so
 /// the flattened artwork) is identical to `writeGds` either way.
+void writeGdsHier(geom::TextBuffer& out, const cell::Cell& top, const GdsOptions& opts = {});
 [[nodiscard]] std::vector<std::uint8_t> writeGdsHier(const cell::Cell& top,
                                                      const GdsOptions& opts = {});
 
@@ -53,7 +58,8 @@ struct GdsOptions {
 /// emitted from exactly its owner tile (`View::windowPolygonsOwnedBy`),
 /// after that tile's rects. A default single-tile whole-artwork view is
 /// bit-identical to walking the raw layer vectors; merging emits the
-/// disjoint maximal pieces instead.
+/// disjoint maximal pieces instead. Sized from `View::shapeCountHint`.
+void writeGds(geom::TextBuffer& out, const View& v, const GdsOptions& opts = {});
 [[nodiscard]] std::vector<std::uint8_t> writeGds(const View& v, const GdsOptions& opts = {});
 
 /// Minimal structural decode of a GDSII stream (record walk) for tests:

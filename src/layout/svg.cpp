@@ -60,18 +60,22 @@ void emitFlat(geom::TextBuffer& os, const Mapper& m, const View& view, double op
     const std::string& tail = tails[static_cast<std::size_t>(l)];
     view.forEachTileParallel(l, [&](std::size_t, std::size_t, const std::vector<geom::Rect>& rs) {
       for (const geom::Rect& r : rs) {
-        os << "<rect x=\"" << m.x(r.x0) << "\" y=\"" << m.y(r.y1) << "\" width=\""
-           << static_cast<double>(r.width()) * m.s << "\" height=\""
-           << static_cast<double>(r.height()) * m.s << tail;
+        geom::Record rec(os);
+        rec << "<rect x=\"" << m.x(r.x0) << "\" y=\"" << m.y(r.y1) << "\" width=\""
+            << static_cast<double>(r.width()) * m.s << "\" height=\""
+            << static_cast<double>(r.height()) * m.s << tail;
+        rec.flush();
       }
     });
   }
   // Polygon pieces under the View's clipping policy (window-crossing
   // rings clipped, fully-inside rings verbatim).
   for (const auto& [l, p] : view.windowPolygons()) {
-    os << "<polygon points=\"";
-    for (geom::Point q : p.pts) os << m.x(q.x) << ',' << m.y(q.y) << ' ';
-    os << tails[static_cast<std::size_t>(l)];
+    geom::Record rec(os);
+    rec << "<polygon points=\"";
+    for (geom::Point q : p.pts) rec << m.x(q.x) << ',' << m.y(q.y) << ' ';
+    rec << tails[static_cast<std::size_t>(l)];
+    rec.flush();
   }
 }
 
@@ -92,23 +96,33 @@ bool overlayVisible(const SvgOptions& opts, geom::Point at) {
   return !opts.view.window || opts.view.window->contains(at);
 }
 
+/// Room for the document: a shape's element is under 100 bytes at the
+/// pixel scales the writers use (82 on the sample chips), an overlay
+/// marker with its label under 200. A windowed view hints no shapes, so
+/// a small viewport never sizes its buffer for the die.
+void reserveFor(geom::TextBuffer& os, const View& view, std::size_t overlay) {
+  os.reserve(view.shapeCountHint() * 96 + overlay * 192 + 512);
+}
+
 }  // namespace
 
 std::string renderSvg(const cell::Cell& top, const SvgOptions& opts) {
-  return renderSvg(top, cell::flatten(top), opts);
+  geom::TextBuffer out;
+  renderSvg(out, top, cell::flatten(top), opts);
+  return out.take();
 }
 
-std::string renderSvg(const cell::Cell& top, const cell::FlatLayout& flat,
-                      const SvgOptions& opts) {
+void renderSvg(geom::TextBuffer& os, const cell::Cell& top, const cell::FlatLayout& flat,
+               const SvgOptions& opts) {
   std::vector<SvgOverlayPoint> overlay;
   if (opts.drawBristles) {
     for (const cell::Bristle& b : top.bristles()) {
       overlay.push_back({b.pos, b.name, "#aa00aa"});
     }
   }
-  geom::TextBuffer os;
   // The view's window is the artwork's bbox when no window is set.
   const View view{flat, opts.view};
+  reserveFor(os, view, overlay.size());
   const geom::Rect bb =
       opts.view.window ? view.window() : top.boundary().unionWith(view.window());
   openDoc(os, bb, opts);
@@ -125,14 +139,13 @@ std::string renderSvg(const cell::Cell& top, const cell::FlatLayout& flat,
     if (overlayVisible(opts, p.at)) emitOverlayPoint(os, m, p);
   }
   os << "</svg>\n";
-  return os.take();
 }
 
-std::string renderSvg(const cell::FlatLayout& flat, const std::vector<SvgOverlayPoint>& overlay,
-                      const SvgOptions& opts) {
-  geom::TextBuffer os;
+void renderSvg(geom::TextBuffer& os, const cell::FlatLayout& flat,
+               const std::vector<SvgOverlayPoint>& overlay, const SvgOptions& opts) {
   // The view's window is the artwork's bbox when no window is set.
   const View view{flat, opts.view};
+  reserveFor(os, view, overlay.size());
   geom::Rect bb = view.window();
   if (!opts.view.window) {
     for (const SvgOverlayPoint& p : overlay) {
@@ -146,7 +159,13 @@ std::string renderSvg(const cell::FlatLayout& flat, const std::vector<SvgOverlay
     if (overlayVisible(opts, p.at)) emitOverlayPoint(os, m, p);
   }
   os << "</svg>\n";
-  return os.take();
+}
+
+std::string renderSvg(const cell::FlatLayout& flat, const std::vector<SvgOverlayPoint>& overlay,
+                      const SvgOptions& opts) {
+  geom::TextBuffer out;
+  renderSvg(out, flat, overlay, opts);
+  return out.take();
 }
 
 }  // namespace bb::layout

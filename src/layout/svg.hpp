@@ -13,6 +13,7 @@
 
 #include "cell/cell.hpp"
 #include "cell/flatten.hpp"
+#include "geom/text_buffer.hpp"
 #include "layout/view.hpp"
 
 #include <string>
@@ -41,12 +42,13 @@ struct SvgOptions {
 /// Render a cell (flattened) to an SVG document.
 [[nodiscard]] std::string renderSvg(const cell::Cell& top, const SvgOptions& opts = {});
 
-/// The same document from a flatten of `top` the caller already holds
-/// (`core::CompiledChip::flatTop`), so the render does not walk the
-/// hierarchy again. A windowed render queries `flat`'s per-layer
-/// indexes, building them on first use.
-[[nodiscard]] std::string renderSvg(const cell::Cell& top, const cell::FlatLayout& flat,
-                                    const SvgOptions& opts = {});
+/// Append the same document to `out`, from a flatten of `top` the caller
+/// already holds (`core::CompiledChip::flatTop`), so the render does not
+/// walk the hierarchy again. A whole-artwork render sizes `out` from
+/// `flat`'s shape count before writing; a windowed one queries `flat`'s
+/// per-layer indexes, building them on first use.
+void renderSvg(geom::TextBuffer& out, const cell::Cell& top, const cell::FlatLayout& flat,
+               const SvgOptions& opts = {});
 
 /// Render pre-flattened artwork with an optional overlay of labelled
 /// points (used by the sticks / block representations and pad-ring demos).
@@ -55,6 +57,8 @@ struct SvgOverlayPoint {
   std::string label;
   std::string color = "#000000";
 };
+void renderSvg(geom::TextBuffer& out, const cell::FlatLayout& flat,
+               const std::vector<SvgOverlayPoint>& overlay, const SvgOptions& opts = {});
 [[nodiscard]] std::string renderSvg(const cell::FlatLayout& flat,
                                     const std::vector<SvgOverlayPoint>& overlay,
                                     const SvgOptions& opts = {});

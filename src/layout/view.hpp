@@ -100,6 +100,12 @@ class View {
   [[nodiscard]] const cell::FlatLayout& flat() const noexcept { return *flat_; }
   [[nodiscard]] const geom::Rect& window() const noexcept { return window_; }
   [[nodiscard]] bool merged() const noexcept { return opts_.merge; }
+  /// What a writer sizes its output from: the artwork's shape count for
+  /// a view with no window set, and 0 for a windowed one, so a small
+  /// viewport never reserves for the whole die.
+  [[nodiscard]] std::size_t shapeCountHint() const noexcept {
+    return opts_.window ? 0 : flat_->totalCount();
+  }
 
   [[nodiscard]] std::size_t tilesX() const noexcept { return tilesX_; }
   [[nodiscard]] std::size_t tilesY() const noexcept { return tilesY_; }

@@ -39,6 +39,44 @@ std::uint32_t hashOf(std::string_view name) noexcept {
   return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
 }
 
+/// Whether `sig` names one of `count` signals: the simulator indexes its
+/// value arrays with it. A negative id converts to a value past any count.
+bool isSignal(int sig, std::size_t count) noexcept {
+  return static_cast<unsigned>(sig) < count;
+}
+
+[[noreturn]] void throwNoSignal(int sig) {
+  geom::TextBuffer msg;
+  msg << "LogicModel: no signal with id " << sig;
+  throw std::out_of_range(msg.take());
+}
+
+/// The inputs the simulator reads of a gate of this kind (`in(0)`, and
+/// `in(1)` for the enable of a latch or drive).
+std::size_t minInputs(GateKind k) noexcept {
+  switch (k) {
+    case GateKind::Inv:
+    case GateKind::Buf:
+    case GateKind::Precharge: return 1;
+    case GateKind::Latch:
+    case GateKind::Drive: return 2;
+    default: return 0;
+  }
+}
+
+/// Why `add` refuses a gate that `isSignal` or `minInputs` rejected.
+[[noreturn]] void rejectGate(GateKind kind, std::span<const int> in, int out,
+                             std::size_t count) {
+  if (!isSignal(out, count)) throwNoSignal(out);
+  for (const int s : in) {
+    if (!isSignal(s, count)) throwNoSignal(s);
+  }
+  geom::TextBuffer msg;
+  msg << "LogicModel: a " << gateName(kind) << " gate needs " << minInputs(kind)
+      << " inputs, got " << in.size();
+  throw std::invalid_argument(msg.take());
+}
+
 void appendDecimal(std::string& out, int n) {
   char digits[16];
   out.append(digits, std::to_chars(digits, digits + sizeof digits, n).ptr);
@@ -111,9 +149,16 @@ int LogicModel::internalSignal(std::string_view hint) {
   }
 }
 
-void LogicModel::markBus(int sig) { isBus_[static_cast<std::size_t>(sig)] = true; }
+void LogicModel::markBus(int sig) {
+  if (!isSignal(sig, names_.size())) throwNoSignal(sig);
+  isBus_[static_cast<std::size_t>(sig)] = true;
+}
 
 void LogicModel::add(GateKind kind, std::span<const int> in, int out, std::string_view name) {
+  const std::size_t count = names_.size();
+  bool ok = isSignal(out, count) && in.size() >= minInputs(kind);
+  for (const int s : in) ok &= isSignal(s, count);
+  if (!ok) [[unlikely]] rejectGate(kind, in, out, count);
   const std::less<const int*> before;
   if (!in.empty() && !before(in.data(), pins_.data()) &&
       before(in.data(), pins_.data() + pins_.size())) {
@@ -140,21 +185,32 @@ int LogicModel::findSignal(std::string_view name) const noexcept {
   return slots_.empty() ? -1 : slots_[probe(name, hashOf(name))].id;
 }
 
-std::string LogicModel::toText() const {
-  geom::TextBuffer os;
+void LogicModel::toText(geom::TextBuffer& os) const {
+  // A line is its names plus under 24 bytes of kind and punctuation, and
+  // an input's name is about as long as the average name.
+  const std::size_t names = names_.size() + gates_.size();
+  const std::size_t avgName = names == 0 ? 0 : chars_.size() / names + 1;
+  os.reserve(gates_.size() * (24 + avgName) + pins_.size() * (2 + avgName) + 64);
   os << "logic diagram: " << gates_.size() << " gates, " << names_.size() << " signals\n";
   for (const Gate& g : gates_) {
-    os << "  " << gateName(g.kind) << ' ' << signalName(g.out) << " <- ";
+    geom::Record rec(os);
+    rec << "  " << gateName(g.kind) << ' ' << signalName(g.out) << " <- ";
     bool first = true;
     for (const int s : inputs(g)) {
-      if (!first) os << ", ";
+      if (!first) rec << ", ";
       first = false;
-      os << signalName(s);
+      rec << signalName(s);
     }
-    if (g.nameLength != 0) os << "    (" << nameOf(g) << ')';
-    os << "\n";
+    if (g.nameLength != 0) rec << "    (" << nameOf(g) << ')';
+    rec << '\n';
+    rec.flush();
   }
-  return os.take();
+}
+
+std::string LogicModel::toText() const {
+  geom::TextBuffer out;
+  toText(out);
+  return out.take();
 }
 
 std::map<std::string, std::size_t> LogicModel::histogram() const {

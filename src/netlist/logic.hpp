@@ -11,6 +11,8 @@
 
 #pragma once
 
+#include "geom/text_buffer.hpp"
+
 #include <cstdint>
 #include <initializer_list>
 #include <map>
@@ -76,10 +78,15 @@ class LogicModel {
   /// it is free.
   int internalSignal(std::string_view hint = {});
   /// Mark a signal as a precharged bus wire (resolved by wired logic).
+  /// Throws `std::out_of_range` when `sig` names no signal.
   void markBus(int sig);
 
   /// Append a gate. `in` and `name` may view this model's own pins and
-  /// names (`inputs`, `nameOf`, `signalName`).
+  /// names (`inputs`, `nameOf`, `signalName`). Throws `std::out_of_range`
+  /// when `out` or an input names no signal, and `std::invalid_argument`
+  /// when an Inv, Buf or Precharge gets no input or a Latch or Drive
+  /// fewer than two (its data and enable), so the simulator never reads
+  /// past a gate's pins or its value arrays.
   void add(GateKind kind, std::span<const int> in, int out, std::string_view name = {});
   void add(GateKind kind, std::initializer_list<int> in, int out, std::string_view name = {}) {
     add(kind, std::span<const int>(in.begin(), in.size()), out, name);
@@ -105,7 +112,9 @@ class LogicModel {
   /// The signal's id, or -1 when no signal has that name.
   [[nodiscard]] int findSignal(std::string_view name) const noexcept;
 
-  /// TTL-style logic diagram (text).
+  /// TTL-style logic diagram (text), appended to `out`, sized first from
+  /// the gate, pin and name counts.
+  void toText(geom::TextBuffer& out) const;
   [[nodiscard]] std::string toText() const;
 
   /// Gate count by kind (for reports).

@@ -5,6 +5,7 @@
 
 #pragma once
 
+#include "geom/text_buffer.hpp"
 #include "netlist/transistor.hpp"
 
 #include <string>
@@ -18,6 +19,8 @@ struct SpiceOptions {
   int unitsPerLambda = 4;
 };
 
+/// Append the deck to `out`, sized first from the device count.
+void writeSpice(geom::TextBuffer& out, const TransistorNetlist& nl, const SpiceOptions& opts = {});
 [[nodiscard]] std::string writeSpice(const TransistorNetlist& nl, const SpiceOptions& opts = {});
 
 }  // namespace bb::netlist

@@ -41,8 +41,9 @@ int TransistorNetlist::findNet(const std::string& name) const noexcept {
   return it == byName_.end() ? -1 : it->second;
 }
 
-std::string TransistorNetlist::toText() const {
-  geom::TextBuffer os;
+void TransistorNetlist::toText(geom::TextBuffer& os) const {
+  // A device line is under 72 bytes on the sample chips.
+  os.reserve(trans_.size() * 72 + 64);
   os << "transistor diagram: " << trans_.size() << " devices ("
      << enhancementCount() << " enh, " << depletionCount() << " dep), " << nets_.size()
      << " nets\n";
@@ -53,11 +54,18 @@ std::string TransistorNetlist::toText() const {
   };
   int i = 0;
   for (const Transistor& t : trans_) {
-    os << "M" << i++ << ' ' << kindName(t.kind) << " g=" << nn(t.gate) << " s=" << nn(t.source)
-       << " d=" << nn(t.drain) << " w/l=" << t.width << '/' << t.length << " at "
-       << geom::toString(t.at) << "\n";
+    geom::Record rec(os);
+    rec << 'M' << i++ << ' ' << kindName(t.kind) << " g=" << nn(t.gate) << " s=" << nn(t.source)
+        << " d=" << nn(t.drain) << " w/l=" << t.width << '/' << t.length << " at ("
+        << t.at.x << ',' << t.at.y << ")\n";
+    rec.flush();
   }
-  return os.take();
+}
+
+std::string TransistorNetlist::toText() const {
+  geom::TextBuffer out;
+  toText(out);
+  return out.take();
 }
 
 }  // namespace bb::netlist

@@ -6,6 +6,7 @@
 #pragma once
 
 #include "geom/geometry.hpp"
+#include "geom/text_buffer.hpp"
 
 #include <map>
 #include <string>
@@ -51,7 +52,9 @@ class TransistorNetlist {
   [[nodiscard]] std::size_t depletionCount() const noexcept;
   [[nodiscard]] int findNet(const std::string& name) const noexcept;
 
-  /// Human-readable transistor diagram (one device per line).
+  /// Human-readable transistor diagram (one device per line), appended
+  /// to `out`, sized first from the device count.
+  void toText(geom::TextBuffer& out) const;
   [[nodiscard]] std::string toText() const;
 
  private:

@@ -1,13 +1,10 @@
 #include "reps/blockrep.hpp"
 
-#include "geom/text_buffer.hpp"
-
 #include <algorithm>
 
 namespace bb::reps {
 
-std::string blockDiagram(const core::CompiledChip& chip) {
-  geom::TextBuffer os;
+void blockDiagram(geom::TextBuffer& os, const core::CompiledChip& chip) {
   std::size_t north = 0, south = 0, east = 0, west = 0;
   for (const core::PadPlacement& p : chip.pads) {
     switch (p.side) {
@@ -40,11 +37,9 @@ std::string blockDiagram(const core::CompiledChip& chip) {
   os << "|   +----------------------------------------------+   |\n";
   os << "|                                                      |\n";
   os << "+--------------------[ " << south << " pads ]--------------------+\n";
-  return os.take();
 }
 
-std::string logicalDiagram(const core::CompiledChip& chip) {
-  geom::TextBuffer os;
+void logicalDiagram(geom::TextBuffer& os, const core::CompiledChip& chip) {
   os << "logical format — chip '" << chip.desc.name << "'\n\n";
   // Upper bus line.
   const std::string& busA = chip.desc.buses[0];
@@ -72,7 +67,6 @@ std::string logicalDiagram(const core::CompiledChip& chip) {
   os << "  microcode (" << chip.desc.microcode.width
      << " bits) enters the decoder twice per clock cycle\n";
   os << "  (phi1-qualified and phi2-qualified control sets).\n";
-  return os.take();
 }
 
 }  // namespace bb::reps

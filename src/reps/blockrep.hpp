@@ -5,15 +5,16 @@
 #pragma once
 
 #include "core/chip.hpp"
-
-#include <string>
+#include "geom/text_buffer.hpp"
 
 namespace bb::reps {
 
-/// ASCII block diagram (physical format: pads / decoder / core).
-[[nodiscard]] std::string blockDiagram(const core::CompiledChip& chip);
+/// ASCII block diagram (physical format: pads / decoder / core), appended
+/// to `out`.
+void blockDiagram(geom::TextBuffer& out, const core::CompiledChip& chip);
 
-/// Logical-format diagram: buses through elements, control from above.
-[[nodiscard]] std::string logicalDiagram(const core::CompiledChip& chip);
+/// Logical-format diagram: buses through elements, control from above,
+/// appended to `out`.
+void logicalDiagram(geom::TextBuffer& out, const core::CompiledChip& chip);
 
 }  // namespace bb::reps

@@ -12,44 +12,14 @@
 #include <algorithm>
 #include <mutex>
 #include <ostream>
-#include <streambuf>
 
 namespace bb::reps {
 
-namespace {
-
-/// Appends everything written through it to one string, so
-/// `emitToString` copies each byte once (an `ostringstream` regrows its
-/// own buffer by doubling, and `str()` copies it again).
-class StringSink final : public std::streambuf {
- public:
-  explicit StringSink(std::string& out) : out_(out) {}
-
- protected:
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    out_.append(s, static_cast<std::size_t>(n));
-    return n;
-  }
-  int_type overflow(int_type c) override {
-    if (!traits_type::eq_int_type(c, traits_type::eof())) {
-      out_.push_back(traits_type::to_char_type(c));
-    }
-    return traits_type::not_eof(c);
-  }
-
- private:
-  std::string& out_;
-};
-
-}  // namespace
-
 std::string Emitter::emitToString(const core::CompiledChip& chip,
                                   const EmitterOptions& opts) const {
-  std::string out;
-  StringSink sink(out);
-  std::ostream os(&sink);
-  emit(chip, os, opts);
-  return out;
+  geom::TextBuffer out;
+  emit(chip, out, opts);
+  return out.take();
 }
 
 namespace {
@@ -58,7 +28,7 @@ namespace {
 /// function, so each built-in is a table row instead of a subclass.
 class FnEmitter final : public Emitter {
  public:
-  using EmitFn = void (*)(const core::CompiledChip&, std::ostream&, const EmitterOptions&);
+  using EmitFn = void (*)(const core::CompiledChip&, geom::TextBuffer&, const EmitterOptions&);
 
   FnEmitter(std::string_view name, std::string_view ext, std::string_view desc, EmitFn fn)
       : name_(name), ext_(ext), desc_(desc), fn_(fn) {}
@@ -66,9 +36,9 @@ class FnEmitter final : public Emitter {
   [[nodiscard]] std::string_view name() const noexcept override { return name_; }
   [[nodiscard]] std::string_view fileExtension() const noexcept override { return ext_; }
   [[nodiscard]] std::string_view description() const noexcept override { return desc_; }
-  void emit(const core::CompiledChip& chip, std::ostream& os,
+  void emit(const core::CompiledChip& chip, geom::TextBuffer& out,
             const EmitterOptions& opts) const override {
-    fn_(chip, os, opts);
+    fn_(chip, out, opts);
   }
 
  private:
@@ -83,74 +53,81 @@ layout::View viewOf(const core::CompiledChip& chip, const EmitterOptions& opts) 
   return layout::View{chip.flatTop(), opts};
 }
 
-void emitCif(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions& opts) {
-  os << (opts.windowed() ? layout::writeCif(viewOf(chip, opts)) : layout::writeCif(*chip.top));
+void emitCif(const core::CompiledChip& chip, geom::TextBuffer& out, const EmitterOptions& opts) {
+  if (opts.windowed()) {
+    layout::writeCif(out, viewOf(chip, opts));
+  } else {
+    layout::writeCif(out, *chip.top);
+  }
 }
 
-void emitGds(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions& opts) {
-  const std::vector<std::uint8_t> bytes =
-      opts.windowed()     ? layout::writeGds(viewOf(chip, opts))
-      : opts.hierarchical ? layout::writeGdsHier(*chip.top)
-                          : layout::writeGds(*chip.top);
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
+void emitGds(const core::CompiledChip& chip, geom::TextBuffer& out, const EmitterOptions& opts) {
+  if (opts.windowed()) {
+    layout::writeGds(out, viewOf(chip, opts));
+  } else if (opts.hierarchical) {
+    layout::writeGdsHier(out, *chip.top);
+  } else {
+    layout::writeGds(out, *chip.top);
+  }
 }
 
-void emitSvg(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions& opts) {
+void emitSvg(const core::CompiledChip& chip, geom::TextBuffer& out, const EmitterOptions& opts) {
   layout::SvgOptions svg;
   svg.title = chip.desc.name;
   svg.pixelsPerUnit = 0.25;
   svg.view = opts;
   // The Cell overload draws the boundary outline and bristle markers;
   // markers outside a window are skipped there.
-  os << layout::renderSvg(*chip.top, chip.flatTop(), svg);
+  layout::renderSvg(out, *chip.top, chip.flatTop(), svg);
 }
 
-void emitSpice(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions&) {
+void emitSpice(const core::CompiledChip& chip, geom::TextBuffer& out, const EmitterOptions&) {
   netlist::SpiceOptions opts;
   opts.title = chip.desc.name + " extracted netlist";
-  os << netlist::writeSpice(chip.coreNetlist(), opts);
+  netlist::writeSpice(out, chip.coreNetlist(), opts);
 }
 
-void emitText(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions&) {
-  os << userManual(chip);
+void emitText(const core::CompiledChip& chip, geom::TextBuffer& out, const EmitterOptions&) {
+  userManual(out, chip);
 }
 
-void emitSticks(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions&) {
-  os << sticksText(chip.flatCore());
+void emitSticks(const core::CompiledChip& chip, geom::TextBuffer& out, const EmitterOptions&) {
+  sticksText(out, chip.flatCore());
 }
 
 /// Sticks of the core, windowed in core coordinates.
-void emitSticksSvg(const core::CompiledChip& chip, std::ostream& os,
+void emitSticksSvg(const core::CompiledChip& chip, geom::TextBuffer& out,
                    const EmitterOptions& opts) {
-  os << sticksSvg(sticksOf(chip.flatCore(), opts));
+  sticksSvg(out, chip.flatCore(), opts);
 }
 
 /// The core's netlist (the decoder's stylized loads extract too, but the
 /// core is the electrically faithful part).
-void emitTransistors(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions&) {
-  os << "extracted from core artwork:\n" << chip.coreNetlist().toText();
+void emitTransistors(const core::CompiledChip& chip, geom::TextBuffer& out,
+                     const EmitterOptions&) {
+  out << "extracted from core artwork:\n";
+  chip.coreNetlist().toText(out);
 }
 
-void emitBlock(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions&) {
-  os << blockDiagram(chip) << '\n' << logicalDiagram(chip);
+void emitBlock(const core::CompiledChip& chip, geom::TextBuffer& out, const EmitterOptions&) {
+  blockDiagram(out, chip);
+  out << '\n';
+  logicalDiagram(out, chip);
 }
 
-void emitLogic(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions&) {
-  os << chip.logic.toText();
+void emitLogic(const core::CompiledChip& chip, geom::TextBuffer& out, const EmitterOptions&) {
+  chip.logic.toText(out);
 }
 
-/// Numbers go through a `TextBuffer`, which ignores the stream's locale.
-void emitSimulation(const core::CompiledChip& chip, std::ostream& os, const EmitterOptions&) {
-  geom::TextBuffer buf;
-  buf << "simulation model: " << chip.logic.gates().size() << " gates over "
+void emitSimulation(const core::CompiledChip& chip, geom::TextBuffer& out,
+                    const EmitterOptions&) {
+  out << "simulation model: " << chip.logic.gates().size() << " gates over "
       << chip.logic.signalCount() << " signals\n";
   for (const auto& [kind, n] : chip.logic.histogram()) {
-    buf << "  " << kind << ": " << n << "\n";
+    out << "  " << kind << ": " << n << "\n";
   }
-  buf << "drive mc0.." << chip.desc.microcode.width - 1
+  out << "drive mc0.." << chip.desc.microcode.width - 1
       << " and clock phi1/phi2 to execute microcode; buses busA<i>/busB<i>.\n";
-  os << buf.take();
 }
 
 }  // namespace
@@ -223,7 +200,10 @@ bool EmitterRegistry::emit(const core::CompiledChip& chip, std::string_view name
                            std::ostream& os, const EmitterOptions& opts) const {
   const Emitter* e = find(name);
   if (e == nullptr) return false;
-  e->emit(chip, os, opts);
+  geom::TextBuffer out;
+  e->emit(chip, out, opts);
+  const std::string_view bytes = out.view();
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   return true;
 }
 

@@ -5,13 +5,14 @@
 /// eleven formats: layout as cif, gds and svg; sticks as sticks and
 /// sticks-svg; transistors as transistors and the spice deck; and text,
 /// logic, simulation and block one each. Every backend is discoverable
-/// by name, writes to a `std::ostream` through one `emit`, and takes
-/// one `EmitterOptions`, so tools enumerate and select formats at run
-/// time and stream viewports through the same call.
+/// by name, appends to one `geom::TextBuffer` through one `emit`, and
+/// takes one `EmitterOptions`, so tools enumerate and select formats at
+/// run time and stream viewports through the same call.
 
 #pragma once
 
 #include "core/chip.hpp"
+#include "geom/text_buffer.hpp"
 #include "layout/view.hpp"
 
 #include <iosfwd>
@@ -53,14 +54,15 @@ class Emitter {
   /// One-line human description for listings.
   [[nodiscard]] virtual std::string_view description() const noexcept = 0;
 
-  /// Write the chip's artifact in this format; geometry backends stream
-  /// the viewport `opts` describes.
-  virtual void emit(const core::CompiledChip& chip, std::ostream& os,
+  /// Append the chip's artifact in this format to `out`; geometry
+  /// backends stream the viewport `opts` describes. The built-in writers
+  /// size `out` before writing and fill it a record at a time.
+  virtual void emit(const core::CompiledChip& chip, geom::TextBuffer& out,
                     const EmitterOptions& opts) const = 0;
 
-  /// Emit into a string, which `emit` appends to directly (no
-  /// `ostringstream` and no second copy). The one way a chip becomes a
-  /// string: the service's emit and viewport payloads come from it.
+  /// Emit into one buffer and hand that buffer over as the string, with
+  /// no copy. The one way a chip becomes a string: the service's emit
+  /// and viewport payloads come from it.
   [[nodiscard]] std::string emitToString(const core::CompiledChip& chip,
                                          const EmitterOptions& opts = {}) const;
 };
@@ -89,7 +91,8 @@ class EmitterRegistry {
   [[nodiscard]] std::vector<std::string_view> names() const;
   [[nodiscard]] std::size_t size() const;
 
-  /// Emit by name; false when the name is unknown.
+  /// Emit by name into one buffer, then write it to `os` in one call;
+  /// false when the name is unknown.
   bool emit(const core::CompiledChip& chip, std::string_view name, std::ostream& os,
             const EmitterOptions& opts = {}) const;
 

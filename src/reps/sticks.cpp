@@ -1,6 +1,5 @@
 #include "reps/sticks.hpp"
 
-#include "geom/text_buffer.hpp"
 #include "layout/svg.hpp"
 
 #include <algorithm>
@@ -8,35 +7,40 @@
 
 namespace bb::reps {
 
-std::vector<Stick> sticksOf(const cell::FlatLayout& flat, const layout::ViewOptions& view) {
-  const layout::View v{flat, view};
-  std::vector<Stick> out;
+namespace {
+
+/// Hand every stick of `v` to `fn`, in diagram order: each layer's rects
+/// tile by tile (a rect's long centerline; a square's center point), then
+/// the window-clipped polygon pieces the mask writers emit, so a
+/// polygon's stick never reaches outside the window.
+template <class Fn>
+void forEachStick(const layout::View& v, Fn&& fn) {
   for (tech::Layer l : tech::kAllLayers) {
     v.forEachTileParallel(l, [&](std::size_t, std::size_t, const std::vector<geom::Rect>& rs) {
       for (const geom::Rect& r : rs) {
-        Stick s;
-        s.layer = l;
         if (r.width() >= r.height()) {
-          s.a = {r.x0, (r.y0 + r.y1) / 2};
-          s.b = {r.x1, (r.y0 + r.y1) / 2};
+          fn(Stick{l, {r.x0, (r.y0 + r.y1) / 2}, {r.x1, (r.y0 + r.y1) / 2}});
         } else {
-          s.a = {(r.x0 + r.x1) / 2, r.y0};
-          s.b = {(r.x0 + r.x1) / 2, r.y1};
+          fn(Stick{l, {(r.x0 + r.x1) / 2, r.y0}, {(r.x0 + r.x1) / 2, r.y1}});
         }
-        out.push_back(s);
       }
     });
   }
-  // The window-clipped polygon pieces the mask writers emit, so a
-  // polygon's stick never reaches outside the window.
   for (const auto& [l, p] : v.windowPolygons()) {
     const geom::Rect r = p.bbox();
-    out.push_back(Stick{l, {r.x0, (r.y0 + r.y1) / 2}, {r.x1, (r.y0 + r.y1) / 2}});
+    fn(Stick{l, {r.x0, (r.y0 + r.y1) / 2}, {r.x1, (r.y0 + r.y1) / 2}});
   }
+}
+
+}  // namespace
+
+std::vector<Stick> sticksOf(const cell::FlatLayout& flat, const layout::ViewOptions& view) {
+  std::vector<Stick> out;
+  forEachStick(layout::View{flat, view}, [&out](const Stick& s) { out.push_back(s); });
   return out;
 }
 
-std::string sticksText(const cell::FlatLayout& flat) {
+void sticksText(geom::TextBuffer& os, const cell::FlatLayout& flat) {
   // The whole-artwork `sticksOf` reduction, summed without building its
   // sticks: a rect's stick is as long as the rect's longer side, a
   // polygon's as wide as the polygon's bbox.
@@ -55,46 +59,65 @@ std::string sticksText(const cell::FlatLayout& flat) {
   }
   std::size_t total = 0;
   for (const std::size_t n : perLayer) total += n;
-  geom::TextBuffer os;
   os << "sticks diagram: " << total << " sticks, total length "
      << totalLen / geom::kUnitsPerLambda << "L\n";
   for (tech::Layer l : tech::kAllLayers) {
     const std::size_t n = perLayer[static_cast<std::size_t>(l)];
     if (n != 0) os << "  " << tech::layerName(l) << ": " << n << "\n";
   }
-  return os.take();
 }
 
-std::string sticksSvg(const std::vector<Stick>& sticks, double pixelsPerUnit,
-                      const std::string& title) {
+std::string sticksText(const cell::FlatLayout& flat) {
+  geom::TextBuffer out;
+  sticksText(out, flat);
+  return out.take();
+}
+
+void sticksSvg(geom::TextBuffer& os, const cell::FlatLayout& flat, const layout::ViewOptions& view,
+               double pixelsPerUnit, std::string_view title) {
+  const layout::View v{flat, view};
+  // Pass 1: the document box, folded stick by stick through
+  // `Rect::unionWith`, and the stick count the buffer is sized from.
   geom::Rect bb{};
   bool first = true;
-  for (const Stick& s : sticks) {
+  std::size_t sticks = 0;
+  forEachStick(v, [&](const Stick& s) {
     const geom::Rect r{s.a.x, s.a.y, s.b.x, s.b.y};
     bb = first ? r : bb.unionWith(r);
     first = false;
-  }
-  geom::TextBuffer os;
+    ++sticks;
+  });
+  // A line element is under 100 bytes at the default scales.
+  os.reserve(sticks * 96 + title.size() * 6 + 256);
   const double w = static_cast<double>(bb.width()) * pixelsPerUnit + 20;
   const double h = static_cast<double>(bb.height()) * pixelsPerUnit + 20;
   os << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"" << w << "\" height=\"" << h
      << "\">\n";
   if (!title.empty()) os << "<title>" << layout::xmlEscape(title) << "</title>\n";
   os << "<rect width=\"100%\" height=\"100%\" fill=\"#ffffff\"/>\n";
-  auto X = [&](geom::Coord v) { return (static_cast<double>(v - bb.x0)) * pixelsPerUnit + 10; };
-  auto Y = [&](geom::Coord v) { return (static_cast<double>(bb.y1 - v)) * pixelsPerUnit + 10; };
-  for (const Stick& s : sticks) {
+  auto X = [&](geom::Coord c) { return (static_cast<double>(c - bb.x0)) * pixelsPerUnit + 10; };
+  auto Y = [&](geom::Coord c) { return (static_cast<double>(bb.y1 - c)) * pixelsPerUnit + 10; };
+  // Pass 2: one element per stick, each formatted on the stack.
+  forEachStick(v, [&](const Stick& s) {
+    geom::Record rec(os);
     if (s.a == s.b) {
-      os << "<circle cx=\"" << X(s.a.x) << "\" cy=\"" << Y(s.a.y) << "\" r=\"1.5\" fill=\""
-         << tech::displayColor(s.layer) << "\"/>\n";
+      rec << "<circle cx=\"" << X(s.a.x) << "\" cy=\"" << Y(s.a.y) << "\" r=\"1.5\" fill=\""
+          << tech::displayColor(s.layer) << "\"/>\n";
     } else {
-      os << "<line x1=\"" << X(s.a.x) << "\" y1=\"" << Y(s.a.y) << "\" x2=\"" << X(s.b.x)
-         << "\" y2=\"" << Y(s.b.y) << "\" stroke=\"" << tech::displayColor(s.layer)
-         << "\" stroke-width=\"1\"/>\n";
+      rec << "<line x1=\"" << X(s.a.x) << "\" y1=\"" << Y(s.a.y) << "\" x2=\"" << X(s.b.x)
+          << "\" y2=\"" << Y(s.b.y) << "\" stroke=\"" << tech::displayColor(s.layer)
+          << "\" stroke-width=\"1\"/>\n";
     }
-  }
+    rec.flush();
+  });
   os << "</svg>\n";
-  return os.take();
+}
+
+std::string sticksSvg(const cell::FlatLayout& flat, const layout::ViewOptions& view,
+                      double pixelsPerUnit, std::string_view title) {
+  geom::TextBuffer out;
+  sticksSvg(out, flat, view, pixelsPerUnit, title);
+  return out.take();
 }
 
 }  // namespace bb::reps

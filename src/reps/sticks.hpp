@@ -7,6 +7,7 @@
 
 #include "cell/cell.hpp"
 #include "cell/flatten.hpp"
+#include "geom/text_buffer.hpp"
 #include "layout/view.hpp"
 
 #include <string>
@@ -34,14 +35,25 @@ struct Stick {
                                           const layout::ViewOptions& view = {});
 
 /// Text summary of the whole artwork's sticks: the stick count per layer
-/// and their total length in lambda. It equals a summary of
-/// `sticksOf(flat)`, but reads the rects and polygons in place through a
-/// whole-artwork View, so no stick is built.
+/// and their total length in lambda, appended to `out`. It equals a
+/// summary of `sticksOf(flat)`, but reads the rects and polygons in place
+/// through a whole-artwork View, so no stick is built.
+void sticksText(geom::TextBuffer& out, const cell::FlatLayout& flat);
 [[nodiscard]] std::string sticksText(const cell::FlatLayout& flat);
 
-/// SVG rendering with the Mead–Conway colours, single-width lines. The
-/// optional title is user text and is XML-escaped (`layout::xmlEscape`).
-[[nodiscard]] std::string sticksSvg(const std::vector<Stick>& sticks, double pixelsPerUnit = 0.5,
-                                    const std::string& title = {});
+/// SVG rendering of `sticksOf(flat, view)` with the Mead–Conway colours,
+/// single-width lines, appended to `out`. It prints straight from the
+/// View and builds no stick vector: a first walk folds the document box
+/// and counts the sticks (the buffer is sized from the count), a second
+/// prints them. The box is folded through `Rect::unionWith`, which skips
+/// zero-area rects, and every stick is one, so the canvas is the last
+/// stick's extent. The optional title is user text and is XML-escaped
+/// (`layout::xmlEscape`).
+void sticksSvg(geom::TextBuffer& out, const cell::FlatLayout& flat,
+               const layout::ViewOptions& view = {}, double pixelsPerUnit = 0.5,
+               std::string_view title = {});
+[[nodiscard]] std::string sticksSvg(const cell::FlatLayout& flat,
+                                    const layout::ViewOptions& view = {},
+                                    double pixelsPerUnit = 0.5, std::string_view title = {});
 
 }  // namespace bb::reps

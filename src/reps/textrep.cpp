@@ -4,12 +4,9 @@
 
 #include "reps/textrep.hpp"
 
-#include "geom/text_buffer.hpp"
-
 namespace bb::reps {
 
-std::string userManual(const core::CompiledChip& chip) {
-  geom::TextBuffer os;
+void userManual(geom::TextBuffer& os, const core::CompiledChip& chip) {
   os << "==========================================================\n";
   os << " USER'S MANUAL — chip '" << chip.desc.name << "'\n";
   os << " compiled by the Bristle Blocks silicon compiler\n";
@@ -57,7 +54,6 @@ std::string userManual(const core::CompiledChip& chip) {
   os << "\n7. ELECTRICAL\n";
   os << "   static supply current " << chip.stats.power_ua / 1000.0 << " mA; supply rails "
      << chip.stats.powerRailWidth / geom::kUnitsPerLambda << "L wide\n";
-  return os.take();
 }
 
 }  // namespace bb::reps

@@ -4,11 +4,11 @@
 #pragma once
 
 #include "core/chip.hpp"
-
-#include <string>
+#include "geom/text_buffer.hpp"
 
 namespace bb::reps {
 
-[[nodiscard]] std::string userManual(const core::CompiledChip& chip);
+/// Append the chip's user's manual to `out`.
+void userManual(geom::TextBuffer& out, const core::CompiledChip& chip);
 
 }  // namespace bb::reps

@@ -664,6 +664,30 @@ TEST(FlatLayoutIndex, CachedAndInvalidatedOnMutation) {
   EXPECT_EQ(rebuilt.queryTouching(Rect{99, 99, 101, 101}), (std::vector<int>{1}));
 }
 
+TEST(FlatLayoutIndex, FlattenIntoDropsBuiltIndexes) {
+  // flattenInto appends to the layer vectors directly; it must still drop
+  // indexes built before it, or they would read a stale span.
+  cell::Cell leaf("leaf");
+  leaf.addRect(Layer::Metal, Rect{0, 0, 10, 10});
+  leaf.addPath(Layer::Poly, geom::Path{{{0, 0}, {0, 40}, {40, 40}}, 4});
+  cell::Cell top("top");
+  top.addInstance(&leaf, geom::Transform::translate({500, 500}));
+
+  cell::FlatLayout flat = cell::flatten(leaf);
+  ASSERT_EQ(flat.indexOn(Layer::Metal).size(), 1u);
+  ASSERT_EQ(flat.indexOn(Layer::Poly).size(), 2u);
+  EXPECT_TRUE(flat.indexOn(Layer::Diffusion).queryTouching(Rect{0, 0, 1000, 1000}).empty());
+
+  cell::flattenInto(flat, top);
+  const RectIndex& metal = flat.indexOn(Layer::Metal);
+  ASSERT_EQ(metal.size(), 2u);
+  EXPECT_EQ(&metal.rect(0), flat.rects[static_cast<std::size_t>(Layer::Metal)].data());
+  EXPECT_EQ(metal.queryTouching(Rect{505, 505, 506, 506}), (std::vector<int>{1}));
+  EXPECT_EQ(flat.indexOn(Layer::Poly).size(), 4u);
+  EXPECT_EQ(flat.indexOn(Layer::Poly).queryTouching(Rect{500, 520, 501, 521}),
+            (std::vector<int>{2}));
+}
+
 TEST(FlatLayoutIndex, ConcurrentFirstQueriesShareOneIndexPerLayer) {
   // Several threads make the first indexOn call of every layer on one
   // fresh FlatLayout, each starting at a different layer so first calls

@@ -379,9 +379,9 @@ class NoopEmitter final : public reps::Emitter {
   [[nodiscard]] std::string_view name() const noexcept override { return name_; }
   [[nodiscard]] std::string_view fileExtension() const noexcept override { return "txt"; }
   [[nodiscard]] std::string_view description() const noexcept override { return "noop"; }
-  void emit(const core::CompiledChip&, std::ostream& os,
+  void emit(const core::CompiledChip&, geom::TextBuffer& out,
             const reps::EmitterOptions&) const override {
-    os << "noop";
+    out << "noop";
   }
 
  private:

@@ -237,9 +237,9 @@ TEST(Emitters, EveryRegisteredEmitterProducesOutput) {
     EXPECT_FALSE(e->fileExtension().empty()) << name;
     EXPECT_FALSE(e->description().empty()) << name;
 
-    std::ostringstream os;
-    e->emit(chip, os, {});
-    EXPECT_FALSE(os.str().empty()) << "emitter '" << name << "' wrote nothing";
+    geom::TextBuffer out;
+    e->emit(chip, out, {});
+    EXPECT_NE(out.size(), 0u) << "emitter '" << name << "' wrote nothing";
   }
 }
 
@@ -262,7 +262,7 @@ TEST(Emitters, EmitByNameAndShadowing) {
     [[nodiscard]] std::string_view description() const noexcept override {
       return "test stand-in";
     }
-    void emit(const core::CompiledChip&, std::ostream& out,
+    void emit(const core::CompiledChip&, geom::TextBuffer& out,
               const reps::EmitterOptions&) const override {
       out << "(null)";
     }

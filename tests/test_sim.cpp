@@ -191,6 +191,39 @@ TEST(Simulator, UnknownSignalsThrowInEveryBuild) {
   sim.release(a);
 }
 
+TEST(LogicModel, GatesAndBusMarksNamingNoSignalAreRejected) {
+  // A one-signal model with an inverter driving id 5: the simulator used
+  // to write past its value arrays when it settled such a gate.
+  LogicModel lm;
+  const int a = lm.signal("a");
+  EXPECT_THROW(lm.add(GateKind::Inv, {a}, 5), std::out_of_range);
+  EXPECT_THROW(lm.add(GateKind::Inv, {a}, -1), std::out_of_range);
+  EXPECT_THROW(lm.add(GateKind::Nand, {a, 1}, a), std::out_of_range);
+  EXPECT_THROW(lm.add(GateKind::Or, {-2}, a), std::out_of_range);
+  EXPECT_THROW(lm.markBus(1), std::out_of_range);
+  EXPECT_THROW(lm.markBus(-1), std::out_of_range);
+  // Too few inputs for what the simulator reads of the gate.
+  const int b = lm.signal("b");
+  for (const GateKind k : {GateKind::Inv, GateKind::Buf, GateKind::Precharge}) {
+    EXPECT_THROW(lm.add(k, {}, b), std::invalid_argument);
+  }
+  for (const GateKind k : {GateKind::Latch, GateKind::Drive}) {
+    EXPECT_THROW(lm.add(k, {}, b), std::invalid_argument);
+    EXPECT_THROW(lm.add(k, {a}, b), std::invalid_argument);
+  }
+  // Nothing rejected was added, and the model still simulates.
+  EXPECT_TRUE(lm.gates().empty());
+  EXPECT_FALSE(lm.isBus(a));
+  lm.add(GateKind::Inv, {a}, b);
+  lm.add(GateKind::Const1, {}, lm.signal("one"));
+  lm.markBus(lm.signal("bus"));
+  Simulator sim(lm);
+  sim.set(a, Level::L1);
+  sim.settle();
+  EXPECT_EQ(sim.get("b"), Level::L0);
+  EXPECT_EQ(sim.get("one"), Level::L1);
+}
+
 TEST(Simulator, ReadDriveBusHelpers) {
   LogicModel lm;
   for (char i = '0'; i < '4'; ++i) lm.signal(std::string{'v', i});
@@ -295,6 +328,18 @@ std::string numbered(std::string_view stem, long long n) {
   return s;
 }
 
+/// The inputs `LogicModel::add` requires of a gate of this kind.
+std::size_t minInputs(GateKind k) {
+  switch (k) {
+    case GateKind::Inv:
+    case GateKind::Buf:
+    case GateKind::Precharge: return 1;
+    case GateKind::Latch:
+    case GateKind::Drive: return 2;
+    default: return 0;
+  }
+}
+
 /// Drives the arena model and the reference with one seeded sequence of
 /// building calls and checks that every call returns the same id.
 class ModelPair {
@@ -335,6 +380,12 @@ class ModelPair {
         const int out = anyId(ref);
         const std::string name = pick(3) == 0 ? std::string() : anyName();
         const auto kind = static_cast<GateKind>(pick(13));
+        if (in.size() < minInputs(kind)) {
+          // The model rejects a gate the simulator could not evaluate;
+          // the reference never checked.
+          EXPECT_THROW(lm.add(kind, in, out, name), std::invalid_argument);
+          break;
+        }
         lm.add(kind, in, out, name);
         ref.add(kind, in, out, name);
         break;

@@ -632,7 +632,7 @@ TEST(XmlEscape, PortLabelsAndTitlesAreEscapedInSvg) {
   EXPECT_EQ(svg2.find("red\" onload"), std::string::npos);
 
   // ...and the sticks-SVG path's title.
-  const std::string ssvg = reps::sticksSvg(reps::sticksOf(flat), 0.5, "s<&>t");
+  const std::string ssvg = reps::sticksSvg(flat, {}, 0.5, "s<&>t");
   EXPECT_NE(ssvg.find("<title>s&lt;&amp;&gt;t</title>"), std::string::npos);
 }
 
@@ -690,12 +690,11 @@ TEST_F(EmitterWindowing, EachBackendDispatchesToItsWriter) {
     svg.title = chip.desc.name;
     svg.pixelsPerUnit = 0.25;
     svg.view = c.opts;
-    const std::string sticksSvg = reps::sticksSvg(reps::sticksOf(chip.flatCore(), c.opts));
+    const std::string sticksSvg = reps::sticksSvg(chip.flatCore(), c.opts);
     // EXPECT_TRUE keeps a mismatch report short: the documents are large.
     EXPECT_TRUE(reg.find("cif")->emitToString(chip, c.opts) == c.cif) << c.label;
     EXPECT_TRUE(reg.find("gds")->emitToString(chip, c.opts) == c.gds) << c.label;
-    EXPECT_TRUE(reg.find("svg")->emitToString(chip, c.opts) ==
-                layout::renderSvg(*chip.top, chip.flatTop(), svg))
+    EXPECT_TRUE(reg.find("svg")->emitToString(chip, c.opts) == layout::renderSvg(*chip.top, svg))
         << c.label;
     EXPECT_TRUE(reg.find("sticks-svg")->emitToString(chip, c.opts) == sticksSvg) << c.label;
     EXPECT_NE(sticksSvg.find("<line"), std::string::npos) << c.label;

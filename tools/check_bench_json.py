@@ -7,11 +7,13 @@ empty or unparseable file means the trajectory silently stops being
 recorded, which is exactly the failure mode this script exists to catch.
 
 Usage:
-    check_bench_json.py BENCH.json [--require PREFIX]...
+    check_bench_json.py BENCH.json [--require PREFIX]... [--require-host]
 
 Each --require PREFIX demands at least one row whose name starts with
 PREFIX, so the job also fails when a whole bench family stops reporting
-(e.g. a bench exits early before recording).
+(e.g. a bench exits early before recording). --require-host demands the
+host context on every row, for a file written fresh by current benches
+(a merged trajectory may hold rows from writers that predate it).
 """
 
 import argparse
@@ -26,6 +28,7 @@ REQUIRED_KEYS = {"name": str, "n": int, "ns_per_op": (int, float), "items_per_se
 # lack them, so they are validated only when present.
 TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
 COMMIT_RE = re.compile(r"^[0-9A-Za-z_.-]{1,64}$")
+HOST_STRINGS = ("build_type", "compiler")
 
 
 def fail(msg: str) -> None:
@@ -33,11 +36,31 @@ def fail(msg: str) -> None:
     sys.exit(1)
 
 
+def check_host(i: int, row: dict) -> None:
+    """The host context: logical CPUs, effective parallelism, build type
+    and compiler."""
+    host = row["host"]
+    if not isinstance(host, dict):
+        fail(f"row {i} host is not an object: {row!r}")
+    cpus = host.get("logical_cpus")
+    if not isinstance(cpus, int) or isinstance(cpus, bool) or cpus <= 0:
+        fail(f"row {i} host.logical_cpus is not a positive integer: {row!r}")
+    par = host.get("effective_parallelism")
+    if (not isinstance(par, (int, float)) or isinstance(par, bool)
+            or not math.isfinite(par) or par < 0):
+        fail(f"row {i} host.effective_parallelism is not a finite non-negative number: {row!r}")
+    for key in HOST_STRINGS:
+        if not isinstance(host.get(key), str) or not host[key]:
+            fail(f"row {i} host.{key} is not a non-empty string: {row!r}")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("path")
     ap.add_argument("--require", action="append", default=[],
                     help="require at least one row whose name starts with this prefix")
+    ap.add_argument("--require-host", action="store_true",
+                    help="require the host context on every row")
     args = ap.parse_args()
 
     try:
@@ -75,6 +98,10 @@ def main() -> None:
         if "commit" in row:
             if not isinstance(row["commit"], str) or not COMMIT_RE.match(row["commit"]):
                 fail(f"row {i} commit is not an identifier-safe revision string: {row!r}")
+        if "host" in row:
+            check_host(i, row)
+        elif args.require_host:
+            fail(f"row {i} has no host context: {row!r}")
 
     names = [row["name"] for row in data]
     for prefix in args.require:
