@@ -19,7 +19,9 @@
 /// largeChip(16,8) and largeChip(64,16): `emit_chip_<format>` rows (n is
 /// the chip's flat shape count, so items_per_sec is shapes/s) and one
 /// `emit_chip_all_over_compile` row per chip whose items_per_sec is the
-/// time of all formats over the time of one compile.
+/// time of all formats over the time of one compile, then sticks-svg over
+/// a windowed, tiled view of the core and a merged one
+/// (`emit_chip_sticks_svg_window_tiles`, `emit_chip_sticks_svg_merge`).
 ///
 /// Env knobs: BB_BENCH_SMOKE=1 caps the sweep for CI (and skips the
 /// google-benchmark timings).
@@ -37,6 +39,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace bb;
@@ -205,6 +208,26 @@ void printChipTable(bool smoke) {
                                         allS / compileS);
     std::printf("  all %zu formats: %.2f ms = %.1fx compile\n", reg.names().size(), allS * 1e3,
                 allS / compileS);
+    // sticks-svg over a windowed, tiled view and a merged one: there the
+    // writer pays every index query and tile merge itself, which the
+    // whole-artwork rows above never do.
+    const Rect core = chip->flatCore().bbox();
+    reps::EmitterOptions windowTiles;
+    windowTiles.window = Rect{core.x0 + core.width() / 4, core.y0 + core.height() / 4,
+                              core.x1 - core.width() / 4, core.y1 - core.height() / 4};
+    windowTiles.tileSize = std::max<Coord>(core.width() / 16, 1);
+    reps::EmitterOptions merged;
+    merged.merge = true;
+    const reps::Emitter* sticks = reg.find("sticks-svg");
+    for (const auto& [row, opts] : {std::pair{"emit_chip_sticks_svg_window_tiles", windowTiles},
+                                    std::pair{"emit_chip_sticks_svg_merge", merged}}) {
+      benchmark::DoNotOptimize(sticks->emitToString(*chip, opts));  // builds the indexes
+      std::size_t bytes = 0;
+      const double s =
+          bench::meanSeconds(iters, [&] { bytes = sticks->emitToString(*chip, opts).size(); });
+      bench::BenchJson::instance().recordRun(row, shapes, s);
+      std::printf("  %-34s %10.3f %12zu\n", row, s * 1e3, bytes);
+    }
   }
   std::printf("\n");
 }

@@ -37,8 +37,9 @@ namespace bb::bench {
 /// "host": {"logical_cpus", "effective_parallelism", "build_type",
 /// "compiler"}} where items are whatever the bench processes (chips,
 /// rects, ...). The trajectory file thus records *when*, *at which
-/// commit* and *on what host* each row was measured; rows from older
-/// writers lack the three fields, which the checker accepts.
+/// commit* and *on what host* each row was measured. The checker
+/// (tools/check_bench_json.py) accepts a row without a timestamp or a
+/// commit, but not one without its host.
 class BenchJson {
  public:
   static BenchJson& instance() {

@@ -116,18 +116,23 @@ void View::collectTile(const geom::RectIndex& idx, std::size_t tx, std::size_t t
   }
 }
 
+const std::vector<geom::Rect>* View::inPlace(tech::Layer l) const {
+  if (opts_.window || tileCount() != 1 || opts_.merge) return nullptr;
+  // The whole artwork in one unmerged tile is every rect touching the
+  // window in source order: the layer itself, read in place with no
+  // index. Only an empty rect can miss its own layout's bbox; the index
+  // query drops such a rect.
+  const std::vector<geom::Rect>& rs = flat_->on(l);
+  return std::all_of(rs.begin(), rs.end(),
+                     [this](const geom::Rect& r) { return r.touches(window_); })
+             ? &rs
+             : nullptr;
+}
+
 void View::forEachTile(tech::Layer l, const TileFn& fn) const {
-  if (!opts_.window && tileCount() == 1 && !opts_.merge) {
-    // The whole artwork in one unmerged tile is every rect touching the
-    // window in source order: the layer itself, read in place with no
-    // index. Only an empty rect can miss its own layout's bbox; the
-    // query below drops such a rect.
-    const std::vector<geom::Rect>& rs = flat_->on(l);
-    if (std::all_of(rs.begin(), rs.end(),
-                    [this](const geom::Rect& r) { return r.touches(window_); })) {
-      fn(0, 0, rs);
-      return;
-    }
+  if (const std::vector<geom::Rect>* rs = inPlace(l)) {
+    fn(0, 0, *rs);
+    return;
   }
   const geom::RectIndex& idx = flat_->indexOn(l);
   std::vector<int> cand;
@@ -172,6 +177,15 @@ std::vector<geom::Rect> View::rectsOn(tech::Layer l) const {
     out.insert(out.end(), rs.begin(), rs.end());
   });
   return out;
+}
+
+std::span<const geom::Rect> View::rectsOn(tech::Layer l, std::vector<geom::Rect>& scratch) const {
+  if (const std::vector<geom::Rect>* rs = inPlace(l)) return *rs;
+  scratch.clear();
+  forEachTileParallel(l, [&scratch](std::size_t, std::size_t, const std::vector<geom::Rect>& rs) {
+    scratch.insert(scratch.end(), rs.begin(), rs.end());
+  });
+  return scratch;
 }
 
 const std::vector<std::pair<tech::Layer, geom::Polygon>>& View::windowPolygons() const {

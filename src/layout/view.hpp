@@ -62,6 +62,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -139,6 +140,13 @@ class View {
   /// Layer `l`'s whole windowed geometry in one vector, in tile order
   /// (the streaming order flattened).
   [[nodiscard]] std::vector<geom::Rect> rectsOn(tech::Layer l) const;
+  /// The same rects without a copy where the View has them whole: a
+  /// whole-artwork view hands back the layer vector itself; any other
+  /// view collects its tiles once (as `forEachTileParallel` does) into
+  /// `scratch` and hands that back. The span is valid while the View's
+  /// artwork and `scratch` live unchanged.
+  [[nodiscard]] std::span<const geom::Rect> rectsOn(tech::Layer l,
+                                                    std::vector<geom::Rect>& scratch) const;
 
   /// The window's polygon geometry in source order: window-crossing
   /// polygons are replaced by their window-clipped pieces (fully-inside
@@ -171,6 +179,10 @@ class View {
 
   /// Size the tile grid from `window_` (shared by both constructors).
   void initGrid() noexcept;
+
+  /// Layer `l`'s vector when this view is its whole-artwork walk, read
+  /// in place; null when the view must query the layer's index.
+  [[nodiscard]] const std::vector<geom::Rect>* inPlace(tech::Layer l) const;
 
   const cell::FlatLayout* flat_;
   /// Set by the HierIndex constructor: the window-resolved geometry this

@@ -64,16 +64,10 @@ std::size_t minInputs(GateKind k) noexcept {
   }
 }
 
-/// Why `add` refuses a gate that `isSignal` or `minInputs` rejected.
-[[noreturn]] void rejectGate(GateKind kind, std::span<const int> in, int out,
-                             std::size_t count) {
-  if (!isSignal(out, count)) throwNoSignal(out);
-  for (const int s : in) {
-    if (!isSignal(s, count)) throwNoSignal(s);
-  }
+[[noreturn]] void throwTooFewInputs(GateKind kind, std::size_t got) {
   geom::TextBuffer msg;
   msg << "LogicModel: a " << gateName(kind) << " gate needs " << minInputs(kind)
-      << " inputs, got " << in.size();
+      << " inputs, got " << got;
   throw std::invalid_argument(msg.take());
 }
 
@@ -156,9 +150,11 @@ void LogicModel::markBus(int sig) {
 
 void LogicModel::add(GateKind kind, std::span<const int> in, int out, std::string_view name) {
   const std::size_t count = names_.size();
-  bool ok = isSignal(out, count) && in.size() >= minInputs(kind);
-  for (const int s : in) ok &= isSignal(s, count);
-  if (!ok) [[unlikely]] rejectGate(kind, in, out, count);
+  if (!isSignal(out, count)) throwNoSignal(out);
+  for (const int s : in) {
+    if (!isSignal(s, count)) throwNoSignal(s);
+  }
+  if (in.size() < minInputs(kind)) throwTooFewInputs(kind, in.size());
   const std::less<const int*> before;
   if (!in.empty() && !before(in.data(), pins_.data()) &&
       before(in.data(), pins_.data() + pins_.size())) {

@@ -42,13 +42,14 @@ void sticksText(geom::TextBuffer& out, const cell::FlatLayout& flat);
 [[nodiscard]] std::string sticksText(const cell::FlatLayout& flat);
 
 /// SVG rendering of `sticksOf(flat, view)` with the Mead–Conway colours,
-/// single-width lines, appended to `out`. It prints straight from the
-/// View and builds no stick vector: a first walk folds the document box
-/// and counts the sticks (the buffer is sized from the count), a second
-/// prints them. The box is folded through `Rect::unionWith`, which skips
-/// zero-area rects, and every stick is one, so the canvas is the last
-/// stick's extent. The optional title is user text and is XML-escaped
-/// (`layout::xmlEscape`).
+/// single-width lines, appended to `out`. It builds no stick vector and
+/// reads the View once (`View::rectsOn` with a scratch vector: a
+/// whole-artwork view's layers in place, any other view's collected
+/// once), then sizes the buffer from the stick count and prints. The
+/// document box is the sticks folded through `Rect::unionWith`, which
+/// skips zero-area rects, and every stick is one, so the canvas is the
+/// last stick's extent. The optional title is user text and is
+/// XML-escaped (`layout::xmlEscape`).
 void sticksSvg(geom::TextBuffer& out, const cell::FlatLayout& flat,
                const layout::ViewOptions& view = {}, double pixelsPerUnit = 0.5,
                std::string_view title = {});

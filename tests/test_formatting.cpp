@@ -12,6 +12,7 @@
 #include "layout/cif_parser.hpp"
 #include "layout/gds.hpp"
 #include "layout/svg.hpp"
+#include "layout/view.hpp"
 #include "netlist/spice.hpp"
 #include "reps/emitter.hpp"
 #include "reps/sticks.hpp"
@@ -209,6 +210,35 @@ const core::CompiledChip& sample(bool large) {
     return m;
   }();
   return *chips.at(large);
+}
+
+/// Pre-buffer `reps::sticksOf`, verbatim: one parallel tile walk per
+/// layer, then the window-clipped polygon pieces.
+std::vector<reps::Stick> refSticksOf(const cell::FlatLayout& flat,
+                                     const layout::ViewOptions& view = {}) {
+  const layout::View v{flat, view};
+  std::vector<reps::Stick> out;
+  for (tech::Layer l : tech::kAllLayers) {
+    v.forEachTileParallel(l, [&](std::size_t, std::size_t, const std::vector<geom::Rect>& rs) {
+      for (const geom::Rect& r : rs) {
+        reps::Stick s;
+        s.layer = l;
+        if (r.width() >= r.height()) {
+          s.a = {r.x0, (r.y0 + r.y1) / 2};
+          s.b = {r.x1, (r.y0 + r.y1) / 2};
+        } else {
+          s.a = {(r.x0 + r.x1) / 2, r.y0};
+          s.b = {(r.x0 + r.x1) / 2, r.y1};
+        }
+        out.push_back(s);
+      }
+    });
+  }
+  for (const auto& [l, p] : v.windowPolygons()) {
+    const geom::Rect r = p.bbox();
+    out.push_back(reps::Stick{l, {r.x0, (r.y0 + r.y1) / 2}, {r.x1, (r.y0 + r.y1) / 2}});
+  }
+  return out;
 }
 
 /// Pre-buffer `reps::sticksSvg`, verbatim on an ostringstream.
@@ -982,8 +1012,9 @@ class WriterReference : public ::testing::TestWithParam<bool> {};
 
 TEST_P(WriterReference, SticksSvgMatchesIostreamCopy) {
   const core::CompiledChip& chip = sample(GetParam());
-  const std::vector<reps::Stick> sticks = reps::sticksOf(chip.flatCore());
+  const std::vector<reps::Stick> sticks = refSticksOf(chip.flatCore());
   ASSERT_FALSE(sticks.empty());
+  EXPECT_EQ(reps::sticksOf(chip.flatCore()), sticks);
   EXPECT_EQ(reps::sticksSvg(chip.flatCore()), refSticksSvg(sticks));
   EXPECT_EQ(reps::sticksSvg(chip.flatCore(), {}, 0.25, "a<b>"),
             refSticksSvg(sticks, 0.25, "a<b>"));
@@ -1077,7 +1108,7 @@ std::map<std::string, std::string> referenceOutputs(const core::CompiledChip& ch
   svg.pixelsPerUnit = 0.25;
   svg.view = opts;
   out["svg"] = refsvg::renderSvg(*chip.top, chip.flatTop(), svg);
-  out["sticks-svg"] = refSticksSvg(reps::sticksOf(chip.flatCore(), coreOpts));
+  out["sticks-svg"] = refSticksSvg(refSticksOf(chip.flatCore(), coreOpts));
   netlist::SpiceOptions spice;
   spice.title = chip.desc.name + " extracted netlist";
   out["spice"] = refWriteSpice(chip.coreNetlist(), spice);
@@ -1167,9 +1198,10 @@ TEST(WriterIdentity, ImportedPolygonDeckMatchesReferenceCopies) {
       EXPECT_EQ(layout::renderSvg(flat, overlay, svg), refsvg::renderSvg(flat, overlay, svg))
           << label << " " << ppu;
       EXPECT_EQ(reps::sticksSvg(flat, opts, ppu, "deck"),
-                refSticksSvg(reps::sticksOf(flat, opts), ppu, "deck"))
+                refSticksSvg(refSticksOf(flat, opts), ppu, "deck"))
           << label << " " << ppu;
     }
+    EXPECT_EQ(reps::sticksOf(flat, opts), refSticksOf(flat, opts)) << label;
   }
   layout::SvgOptions svg;
   svg.pixelsPerUnit = 0.3;

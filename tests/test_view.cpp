@@ -21,7 +21,9 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <sstream>
+#include <string>
 #include <tuple>
 
 namespace bb {
@@ -129,6 +131,33 @@ TEST(View, ParallelTileWalkIsByteIdenticalToSequential) {
             par.emplace_back(tx, ty, rs);
           });
       EXPECT_EQ(seq, par) << tech::layerName(l) << (merge ? " merged" : " unmerged");
+    }
+  }
+}
+
+TEST(View, RectsOnIntoScratchCopiesOnlyWhatItCollects) {
+  const FlatLayout flat = makeFlat(400);
+  const Rect bb = flat.bbox();
+  std::vector<std::pair<std::string, ViewOptions>> views(4);
+  views[0].first = "whole";
+  views[1].first = "window";
+  views[1].second.window = Rect{bb.x0, bb.y0, bb.x0 + bb.width() / 3, bb.y0 + bb.height() / 2};
+  views[2].first = "tiles";
+  views[2].second.tileSize = lambda(40);
+  views[3].first = "merge+tiles";
+  views[3].second.merge = true;
+  views[3].second.tileSize = lambda(40);
+  for (const auto& [label, opts] : views) {
+    const View v{flat, opts};
+    for (Layer l : tech::kAllLayers) {
+      std::vector<Rect> scratch{Rect{0, 0, 1, 1}};  // stale contents are replaced
+      const std::span<const Rect> rs = v.rectsOn(l, scratch);
+      EXPECT_EQ(std::vector<Rect>(rs.begin(), rs.end()), v.rectsOn(l))
+          << label << " " << tech::layerName(l);
+      // The whole-artwork view hands back the layer itself, any other
+      // view the scratch it collected into.
+      EXPECT_EQ(rs.data(), label == "whole" ? flat.on(l).data() : scratch.data())
+          << label << " " << tech::layerName(l);
     }
   }
 }

@@ -7,13 +7,13 @@ empty or unparseable file means the trajectory silently stops being
 recorded, which is exactly the failure mode this script exists to catch.
 
 Usage:
-    check_bench_json.py BENCH.json [--require PREFIX]... [--require-host]
+    check_bench_json.py BENCH.json [--require PREFIX]...
 
-Each --require PREFIX demands at least one row whose name starts with
-PREFIX, so the job also fails when a whole bench family stops reporting
-(e.g. a bench exits early before recording). --require-host demands the
-host context on every row, for a file written fresh by current benches
-(a merged trajectory may hold rows from writers that predate it).
+Every row must name its host (logical CPUs, effective parallelism, build
+type and compiler), so a figure is never read without the machine that
+produced it. Each --require PREFIX demands at least one row whose name
+starts with PREFIX, so the job also fails when a whole bench family stops
+reporting (e.g. a bench exits early before recording).
 """
 
 import argparse
@@ -59,8 +59,6 @@ def main() -> None:
     ap.add_argument("path")
     ap.add_argument("--require", action="append", default=[],
                     help="require at least one row whose name starts with this prefix")
-    ap.add_argument("--require-host", action="store_true",
-                    help="require the host context on every row")
     args = ap.parse_args()
 
     try:
@@ -98,10 +96,9 @@ def main() -> None:
         if "commit" in row:
             if not isinstance(row["commit"], str) or not COMMIT_RE.match(row["commit"]):
                 fail(f"row {i} commit is not an identifier-safe revision string: {row!r}")
-        if "host" in row:
-            check_host(i, row)
-        elif args.require_host:
+        if "host" not in row:
             fail(f"row {i} has no host context: {row!r}")
+        check_host(i, row)
 
     names = [row["name"] for row in data]
     for prefix in args.require:
